@@ -20,7 +20,10 @@ Lifecycle:
    (the orchestrator's start barrier);
 4. dial every peer, start the pump, propose;
 5. on deciding (or halting, per the scenario's stop condition) send
-   ``done``; on ``stop`` send the full ``result`` readout and exit.
+   ``done``; on ``stop`` send the ``result``: this node's outcome record
+   (:func:`~repro.analysis.experiments.node_record`, the same record
+   every fabric folds through
+   :func:`~repro.analysis.experiments.collect_result`), and exit.
 
 Without a control endpoint the runner is standalone (manual multi-host
 operation): it proposes as soon as its peers are dialled, prints the
@@ -42,10 +45,11 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
+from ..analysis.experiments import DecideLog, node_record
 from ..errors import ReproError
 from ..netem import LinkPolicy, ReliableLink, WallClock
 from ..recovery.wal import WalWriter, read_wal, replay, validate_header
-from ..obs import Observer
+from ..obs import MetricsRegistry, Observer
 from ..obs.observer import DEFAULT_RING_CAPACITY, parse_observe
 from ..obs.sinks import RingSink
 from ..runtime.node import Node, NodeNetwork
@@ -131,7 +135,13 @@ class NodeRunner:
         self._policy: Optional[LinkPolicy] = None
         self._clock: Optional[WallClock] = None
         self._zero = time.monotonic()
-        self._decide_time: Optional[float] = None
+        # Module decisions are counted live into this node's own
+        # registry; the count travels in the result record.
+        self.registry = MetricsRegistry()
+        self.decides = DecideLog(
+            self.plan, self.registry,
+            lambda: time.monotonic() - self._zero, self.observer,
+        )
         self._stopped = asyncio.Event()
         self._satisfied = asyncio.Event()  # the scenario's stop predicate
 
@@ -184,8 +194,8 @@ class NodeRunner:
             )
         else:
             process = Process(self.pid, self.network, self.params)  # type: ignore[arg-type]
-            process.on_decide = self._on_decide
             self.modules = self.plan.build(process)
+            self.decides.attach(self.pid, process, self.modules)
             target = process
         self.node = Node(
             self.pid, self.network, self.transport, target,
@@ -266,15 +276,6 @@ class NodeRunner:
 
     # -- progress ------------------------------------------------------------
 
-    def _on_decide(self, effect: Any) -> None:
-        if self._decide_time is None:
-            self._decide_time = time.monotonic() - self._zero
-        if self.observer is not None:
-            self.observer.emit(
-                "decide", node=self.pid, instance=effect.module,
-                round=effect.round, detail=effect.value,
-            )
-
     def _on_activation(self, _node: Node) -> None:
         if self.modules is None or self._satisfied.is_set():
             return
@@ -288,71 +289,23 @@ class NodeRunner:
     # -- readout -------------------------------------------------------------
 
     def result_payload(self) -> Dict[str, Any]:
-        """Everything the orchestrator needs to assemble a ``RunResult``."""
-        node, network = self.node, self.network
-        out: Dict[str, Any] = {
-            "type": "result",
-            "node": self.pid,
-            "correct": self.modules is not None,
-            "decide_time": self._decide_time,
-            "counters": {
-                "sent": network.metrics.sent,
-                "delivered": node.messages_delivered,
-                "activations": node.activations,
-                "frames_sent": node.frames_sent,
-                "wire_messages_sent": node.wire_messages_sent,
-                "rejected": self._tcp.rejected,
-            },
-            "sent_by_kind": dict(network.metrics.sent_by_kind),
-            "decisions": None,
-            "acs": None,
-            "invariant_flags": [],
-            "halted": False,
-            "rounds": 0,
-            "coin_flips": 0,
-        }
-        if self.modules is not None:
-            if self.scenario.protocol == "acs":
-                acs = self.modules[0]
-                if acs.done:
-                    out["acs"] = {
-                        "proposals": [list(pair) for pair in acs.output.proposals]
-                    }
-            else:
-                out["decisions"] = [
-                    {
-                        "decided": m.decided,
-                        "value": m.decision,
-                        "round": m.decision_round,
-                    }
-                    for m in self.modules
-                ]
-                out["invariant_flags"] = [
-                    list(m.invariant_flags) for m in self.modules
-                ]
-                out["halted"] = self.plan.halted(self.modules)
-                out["rounds"] = max(m.stats["rounds"] for m in self.modules)
-                out["coin_flips"] = sum(
-                    m.stats["coin_flips"] for m in self.modules
-                )
+        """This node's outcome record, as the ``result`` control message."""
+        traffic = self.node.traffic()
+        traffic["counters"]["frames_rejected"] = self._tcp.rejected
+        traffic["counters"]["module_decisions"] = (
+            self.registry.counter_value("module_decisions")
+        )
         if self._policy is not None:
-            out["netem"] = self._policy.totals().as_dict()
-            out["netem_per_link"] = self._policy.per_link()
+            traffic["netem"] = self._policy.totals().as_dict()
+            traffic["netem_per_link"] = self._policy.per_link()
         if isinstance(self.transport, ReliableLink):
-            link = self.transport
-            out["link"] = {
-                "retransmitted": link.retransmitted,
-                "abandoned": link.abandoned,
-                "duplicates_filtered": link.duplicates_filtered,
-                "acks_sent": link.acks_sent,
-                "retransmitted_by_dest": {
-                    str(dest): count
-                    for dest, count in link.retransmitted_by_dest.items()
-                },
-            }
+            traffic["link"] = self.transport.stats()
         if self.observer is not None:
-            out["events"] = [e.to_dict() for e in self.observer.events()]
-        return out
+            traffic["events"] = [e.to_dict() for e in self.observer.events()]
+        return {"type": "result", **node_record(
+            self.pid, self.modules, self.scenario.protocol, self.decides.times.get(self.pid),
+            **traffic,
+        )}
 
     async def shutdown(self, task: Optional[asyncio.Task]) -> None:
         if self._wal_writer is not None:
@@ -427,7 +380,7 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
             async with send_lock:
                 await send_msg(writer, {
                     "type": "done", "node": runner.pid,
-                    "decide_time": runner._decide_time,
+                    "decide_time": runner.decides.times.get(runner.pid),
                 })
 
         side_tasks = [asyncio.ensure_future(report_done())]

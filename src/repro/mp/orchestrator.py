@@ -5,9 +5,11 @@ The orchestrator is the multi-process analogue of
 into a scratch directory (:mod:`repro.mp.bundle`), spawns one
 ``repro node`` subprocess per pid, holds them at a start barrier on the
 control channel (:mod:`repro.mp.control`), waits for every correct
-node's stop condition, then collects each node's reported readout and
-assembles the same verified :class:`~repro.types.RunResult` — metrics
-snapshot, observe stream, netem totals — the other fabrics return.
+node's stop condition, then folds each node's reported outcome record
+through :func:`~repro.analysis.experiments.collect_result` into the
+same verified :class:`~repro.types.RunResult` — metrics snapshot, netem
+totals — the other fabrics return, and replays the nodes' observe
+streams into the run's sink.
 
 Because every node is a real OS process, crash faults become real: a
 fault spec ``{"kind": "kill", "after": S}`` makes the orchestrator
@@ -15,10 +17,9 @@ SIGKILL that node's process ``S`` seconds after the start barrier, and
 the run succeeds iff the surviving correct majority still decides.
 
 Verification runs over the *reported* outcomes of correct nodes only
-(the same trust boundary the in-process cluster has: a Byzantine node's
-modules are never consulted), through the identical
-:func:`~repro.analysis.experiments.verify_outcome` /
-:func:`verify_acs_outcome` checks every other fabric uses.
+(the same trust boundary the in-process cluster has: a faulty node's
+record carries traffic, never an outcome), with the identical checks
+every other fabric gets.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ import socket
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
-from ..analysis.experiments import (
-    fill_common_meta,
-    verify_acs_outcome,
-    verify_instance_outcomes,
-    verify_outcome,
-)
-from ..app.acs import AcsOutput
+from ..analysis.experiments import collect_result
 from ..errors import ConfigError, LivenessFailure, ReproError
 from ..obs import MetricsRegistry, Observer
 from ..obs.events import Event
@@ -46,7 +41,7 @@ from ..recovery.supervisor import RestartPolicy
 from ..recovery.wal import parse_recovery, wal_filename
 from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
-from ..types import Decision, ProcessId, RunResult
+from ..types import ProcessId, RunResult
 from .bundle import deal
 from .control import MAX_CONTROL_LINE, read_msg, send_msg
 
@@ -66,19 +61,6 @@ PING_TIMEOUT = 2.0
 #: unresponsive — a hung node must surface as a named harness failure,
 #: not as the scenario's full liveness timeout.
 PING_RETRIES = 3
-
-
-class _Reported:
-    """A decision-module shim over one reported instance outcome, shaped
-    for :func:`verify_outcome` (``decided``/``decision``/
-    ``decision_round``/``invariant_flags``)."""
-
-    def __init__(self, decided: bool, value: Any, round_: Any,
-                 flags: List[str]):
-        self.decided = decided
-        self.decision = value
-        self.decision_round = round_
-        self.invariant_flags = list(flags)
 
 
 def _reserve_ports(host: str, n: int) -> List[int]:
@@ -314,9 +296,7 @@ class MpOrchestrator:
             timed_out = not await self._wait_for_completion()
             elapsed = time.monotonic() - self._zero
             await self._stop_nodes()
-            result = self._collect(elapsed, timed_out)
-            self._verify(result, timed_out)
-            return result
+            return self._collect(elapsed, timed_out)
         finally:
             await self._teardown()
             if self.keep_scratch:
@@ -566,93 +546,37 @@ class MpOrchestrator:
 
     def _collect(self, elapsed: float, timed_out: bool) -> RunResult:
         scenario = self.scenario
-        result = RunResult(virtual_time=elapsed)
+        if self.observer is not None:
+            # Replay the per-node streams into the run's sink on one
+            # merged timeline (original node-relative timestamps).
+            events = [
+                Event.from_dict(data)
+                for report in self.results.values()
+                for data in report.get("events", ())
+            ]
+            events.sort(key=lambda e: (e.time, -1 if e.node is None else e.node))
+            for event in events:
+                self.observer.sink.emit(event)
+        if timed_out and self.check:
+            missing = sorted(self.correct - set(self.done))
+            raise LivenessFailure(
+                f"timeout after {scenario.timeout}s; "
+                f"nodes still undecided: {missing}"
+            )
         registry = MetricsRegistry()
-        sent_by_kind: Dict[str, int] = {}
-        frames_sent = wire_messages = frames_rejected = 0
-        module_decisions = coin_flips = 0
-        decision_times: Dict[ProcessId, float] = {}
-        netem_totals: Dict[str, Any] = {}
-        netem_per_link: Dict[str, Dict[str, int]] = {}
-        instance_decisions: Dict[ProcessId, List[Any]] = {}
-        events: List[Event] = []
-
-        for pid, report in sorted(self.results.items()):
-            counters = report.get("counters", {})
-            result.messages_sent += counters.get("sent", 0)
-            result.messages_delivered += counters.get("delivered", 0)
-            result.steps += counters.get("activations", 0)
-            frames_sent += counters.get("frames_sent", 0)
-            wire_messages += counters.get("wire_messages_sent", 0)
-            frames_rejected += counters.get("rejected", 0)
-            for kind, count in report.get("sent_by_kind", {}).items():
-                sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
-            for name, value in (report.get("netem") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    netem_totals[name] = netem_totals.get(name, 0) + value
-            for link_name, stats in (report.get("netem_per_link") or {}).items():
-                slot = netem_per_link.setdefault(link_name, {})
-                for name, value in stats.items():
-                    slot[name] = slot.get(name, 0) + value
-            link = report.get("link")
-            if link is not None:
-                for name in ("retransmitted", "abandoned",
-                             "duplicates_filtered", "acks_sent"):
-                    netem_totals[name] = (
-                        netem_totals.get(name, 0) + link.get(name, 0)
-                    )
-                for dest, count in link.get(
-                        "retransmitted_by_dest", {}).items():
-                    slot = netem_per_link.setdefault(f"{pid}->{dest}", {})
-                    slot["retransmitted"] = (
-                        slot.get("retransmitted", 0) + count
-                    )
-            for data in report.get("events", ()):
-                events.append(Event.from_dict(data))
-
-            if not report.get("correct"):
-                continue
-            coin_flips += report.get("coin_flips", 0)
-            decide_time = report.get("decide_time")
-            if decide_time is not None:
-                decision_times[pid] = float(decide_time)
-            if scenario.protocol == "acs":
-                acs = report.get("acs")
-                if acs is not None:
-                    output = AcsOutput(0, tuple(
-                        (int(p), payload) for p, payload in acs["proposals"]
-                    ))
-                    result.decisions[pid] = Decision(
-                        pid, output.pids, 0, decision_times.get(pid, elapsed)
-                    )
-                continue
-            decisions = report.get("decisions") or []
-            if decisions and decisions[0]["decided"]:
-                result.decisions[pid] = Decision(
-                    pid, decisions[0]["value"], decisions[0]["round"],
-                    decision_times.get(pid, elapsed),
-                )
-            instance_decisions[pid] = [d["value"] for d in decisions]
-            module_decisions += sum(1 for d in decisions if d["decided"])
-            if report.get("halted"):
-                result.halted.add(pid)
-            result.rounds = max(result.rounds, report.get("rounds", 0))
-
-        if timed_out:
-            result.violations.append("timeout (possible livelock)")
-        result.meta["transport"] = "mp"
-        result.meta["protocol"] = scenario.protocol
-        result.meta["instances"] = scenario.instances
-        result.meta["batching"] = scenario.batching
-        result.meta["coin_flips"] = coin_flips
-        fill_common_meta(result, self.proposals, self.faulty, sent_by_kind)
-        result.meta["decision_latency"] = dict(decision_times)
+        meta: Dict[str, Any] = {
+            "transport": "mp",
+            "protocol": scenario.protocol,
+            "instances": scenario.instances,
+            "batching": scenario.batching,
+            "codec": scenario.codec,
+        }
         if self.kills:
-            result.meta["killed"] = sorted(self.kills)
+            meta["killed"] = sorted(self.kills)
         if self.recovery_mode == "wal":
-            result.meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
+            meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
         if self.restarts:
-            result.meta["restarted"] = sorted(self.restarts)
+            meta["restarted"] = sorted(self.restarts)
             registry.count("restarts", sum(self.restart_attempts.values()))
             registry.count("recovery_replayed", sum(
                 int(msg.get("replayed") or 0)
@@ -663,89 +587,20 @@ class MpOrchestrator:
                     "recovery_time", max(self.recovery_times.values())
                 )
         if self.keep_scratch:
-            result.meta["scratch_dir"] = self._scratch_dir
-        if scenario.instances > 1:
-            result.meta["instance_decisions"] = instance_decisions
-
-        registry.count("frames_sent", frames_sent)
-        registry.count("wire_messages_sent", wire_messages)
-        registry.count("frames_rejected", frames_rejected)
-        registry.count("messages_sent", result.messages_sent)
-        registry.count("messages_delivered", result.messages_delivered)
-        registry.count("decisions", len(result.decisions))
-        registry.count("module_decisions", module_decisions)
-        registry.gauge(
-            "messages_per_frame",
-            wire_messages / frames_sent if frames_sent else 0.0,
+            meta["scratch_dir"] = self._scratch_dir
+        # Which nodes are correct is the scenario's word, not a node's:
+        # a killed node that outlived the run reports traffic only.
+        records = [
+            dict(self.results[pid], correct=pid in self.correct)
+            for pid in sorted(self.results)
+        ]
+        return collect_result(
+            records, self.proposals, self.faulty,
+            params=self.params, protocol=scenario.protocol, elapsed=elapsed,
+            registry=registry, meta=meta,
+            violations=["timeout (possible livelock)"] if timed_out else [],
+            check=self.check,
         )
-        for latency in decision_times.values():
-            registry.observe("decision_latency", latency)
-        if scenario.netem_config() is not None:
-            for name, value in netem_totals.items():
-                registry.count(f"netem_{name}", int(value))
-            result.meta["netem"] = netem_totals
-            result.meta["netem_per_link"] = netem_per_link
-        result.metrics = registry.snapshot()
-
-        if self.observer is not None and events:
-            # Replay the per-node streams into the run's sink on one
-            # merged timeline (original node-relative timestamps).
-            events.sort(key=lambda e: (e.time, -1 if e.node is None else e.node))
-            for event in events:
-                self.observer.sink.emit(event)
-        return result
-
-    def _verify(self, result: RunResult, timed_out: bool) -> None:
-        scenario, check = self.scenario, self.check
-        if timed_out and check:
-            missing = sorted(self.correct - set(self.done))
-            raise LivenessFailure(
-                f"timeout after {scenario.timeout}s; "
-                f"nodes still undecided: {missing}"
-            )
-        reported = {
-            pid: report for pid, report in self.results.items()
-            if pid in self.correct
-        }
-        if scenario.protocol == "acs":
-            outputs = {
-                pid: AcsOutput(0, tuple(
-                    (int(p), payload)
-                    for p, payload in report["acs"]["proposals"]
-                ))
-                for pid, report in reported.items()
-                if report.get("acs") is not None
-            }
-            verify_acs_outcome(outputs, self.params, result, check=check)
-            missing = sorted(self.correct - set(outputs))
-            if missing and not timed_out:
-                message = f"ACS never completed at: {missing}"
-                result.violations.append(message)
-                if check:
-                    raise LivenessFailure(message)
-            return
-        stacks = {
-            pid: [
-                _Reported(d["decided"], d["value"], d["round"], flags)
-                for d, flags in zip(
-                    report.get("decisions") or [],
-                    report.get("invariant_flags") or [],
-                )
-            ]
-            for pid, report in reported.items()
-        }
-        stacks = {pid: mods for pid, mods in stacks.items() if mods}
-        verify_outcome(
-            self.proposals,
-            {pid: mods[0] for pid, mods in stacks.items()},
-            result,
-            check=check,
-        )
-        if scenario.instances > 1:
-            verify_instance_outcomes(
-                self.proposals, stacks, scenario.instances, result,
-                check=check,
-            )
 
 
 async def run_mp(scenario: Scenario, check: bool = True,

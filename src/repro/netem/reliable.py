@@ -157,6 +157,19 @@ class ReliableLink:
     def rejected(self) -> int:
         return getattr(self.inner, "rejected", 0)
 
+    def stats(self) -> Dict[str, Any]:
+        """Retransmission totals, in the shape outcome records carry them."""
+        return {
+            "retransmitted": self.retransmitted,
+            "abandoned": self.abandoned,
+            "duplicates_filtered": self.duplicates_filtered,
+            "acks_sent": self.acks_sent,
+            "retransmitted_by_dest": {
+                str(dest): count
+                for dest, count in self.retransmitted_by_dest.items()
+            },
+        }
+
     async def start(self) -> None:
         await self.inner.start()
         self.start_scan()

@@ -180,6 +180,19 @@ class Node:
         inside the node's own task, before it consumes its inbox."""
         self._proposals.append(action)
 
+    def traffic(self) -> Dict[str, Any]:
+        """This node's traffic, in the shape outcome records carry it."""
+        return {
+            "counters": {
+                "messages_sent": self.network.metrics.sent,
+                "messages_delivered": self.messages_delivered,
+                "steps": self.activations,
+                "frames_sent": self.frames_sent,
+                "wire_messages_sent": self.wire_messages_sent,
+            },
+            "sent_by_kind": dict(self.network.metrics.sent_by_kind),
+        }
+
     # -- the run loop ---------------------------------------------------------
 
     async def run(self) -> None:
@@ -248,7 +261,7 @@ class Node:
         # The callback runs *before* the outbox drain: draining awaits,
         # and the cluster's waiter may observe protocol state (e.g. the
         # decision) at that yield point — the callback must have seen it
-        # first or decision timestamps would be lost.
+        # first, or the stop predicate would lag the state it reads.
         if self.on_activation is not None:
             self.on_activation(self)
         queued = self.network.drain()

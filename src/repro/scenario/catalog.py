@@ -16,40 +16,65 @@ CI workflow executes every entry so the catalog can never rot.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, Iterator, List, Mapping
 
 from ..errors import ConfigError
 from .spec import Scenario
 
-CATALOG: Dict[str, Scenario] = {}
+
+class _Catalog(Mapping):
+    """Entry name -> :class:`Scenario`, each entry built on lookup.
+
+    Building validates an entry against the working directory (a
+    ``jsonl:`` observe path needs its parent directory), so it happens
+    when the entry is used, never when :mod:`repro` is imported.
+    """
+
+    def __init__(self) -> None:
+        self._fields: Dict[str, Dict[str, Any]] = {}
+
+    def __getitem__(self, name: str) -> Scenario:
+        return Scenario(**self._fields[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._fields
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._fields)
+
+    def __len__(self) -> int:
+        return len(self._fields)
 
 
-def _entry(scenario: Scenario) -> Scenario:
-    if not scenario.name:
+CATALOG = _Catalog()
+
+
+def _entry(fields: Dict[str, Any]) -> None:
+    name = fields.get("name")
+    if not name:
         raise ConfigError("catalog scenarios must be named")
-    if scenario.name in CATALOG:
-        raise ConfigError(f"duplicate catalog name {scenario.name!r}")
-    CATALOG[scenario.name] = scenario
-    return scenario
+    if name in CATALOG:
+        raise ConfigError(f"duplicate catalog name {name!r}")
+    CATALOG._fields[name] = fields
 
 
 # -- one fabric-agnostic entry per protocol ---------------------------------
 
-_entry(Scenario(
+_entry(dict(
     name="unanimous-fast-path",
     description="Bracha, n=4, unanimous 1-proposals: decides in one round "
                 "on any fabric (strong validity pins the outcome).",
     protocol="bracha", n=4, proposals=1, seed=1,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="benor-split",
     description="Ben-Or baseline, n=4, split proposals: coin flips break "
                 "the symmetry; agreement/validity checked either way.",
     protocol="benor", n=4, proposals=(0, 1, 0, 1), seed=5,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="crash-majority",
     description="Crash-fault Ben-Or at n=5, t=2 (t < n/2, a regime Byzantine "
                 "protocols cannot touch): one node silent from the start, "
@@ -58,14 +83,14 @@ _entry(Scenario(
     faults={3: "silent", 4: {"kind": "crash", "crash_after": 25}}, seed=7,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="mmr14-dealer",
     description="MMR-14 ABA with the dealer common coin its termination "
                 "argument requires, split proposals.",
     protocol="mmr14", n=4, coin="dealer", proposals=(0, 1, 0, 1), seed=3,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="acs-batch",
     description="Asynchronous common subset, n=4: every node proposes a "
                 "request payload; all correct nodes output the same >= n-t "
@@ -75,7 +100,7 @@ _entry(Scenario(
 
 # -- adversary gallery (simulator-scheduled) --------------------------------
 
-_entry(Scenario(
+_entry(dict(
     name="two-faced-equivocator",
     description="n=7, t=2 with a two-faced Byzantine process running two "
                 "complete honest stacks; reliable broadcast defeats the "
@@ -83,7 +108,7 @@ _entry(Scenario(
     protocol="bracha", n=7, faults={6: "two_faced"}, seed=11,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="split-brain-scheduler",
     description="Near-partition scheduling (cross-group traffic held back) "
                 "combined with a two-faced process — the classic attack on "
@@ -92,7 +117,7 @@ _entry(Scenario(
     scheduler="split", scheduler_args={"group_a": (0, 1)}, seed=13,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="shares-coin",
     description="Bracha over the distributed Rabin-style share coin "
                 "(dealer-free at runtime): threshold reconstruction on the "
@@ -100,14 +125,14 @@ _entry(Scenario(
     protocol="bracha", n=4, coin="shares", seed=17,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="fuzzer-storm",
     description="n=7, t=2 with two protocol-fuzzing Byzantine processes "
                 "spraying malformed frames; validation shrugs it off.",
     protocol="bracha", n=7, faults={5: "fuzzer", 6: "fuzzer"}, seed=19,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="victim-delay-liveness",
     description="Liveness stress: the scheduler starves node 0's inbound "
                 "traffic for hundreds of deliveries; eventual delivery "
@@ -118,14 +143,14 @@ _entry(Scenario(
 
 # -- runtime-fabric entries -------------------------------------------------
 
-_entry(Scenario(
+_entry(dict(
     name="tcp-loopback",
     description="Four nodes over authenticated JSON-over-TCP on localhost: "
                 "length-prefixed frames, pairwise HMACs, real sockets.",
     protocol="bracha", n=4, proposals=1, fabric="tcp", seed=23,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="multi-instance-pipeline",
     description="Four parallel Bracha instances per node sharing one "
                 "reliable-broadcast layer — the batching shape scaling "
@@ -133,7 +158,7 @@ _entry(Scenario(
     protocol="bracha", n=4, instances=4, proposals=1, fabric="local", seed=29,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="batched-pipeline",
     description="The multi-instance pipeline with the batched message "
                 "path: every message queued per destination rides one "
@@ -145,7 +170,7 @@ _entry(Scenario(
 
 # -- adverse-network entries (netem on the runtime fabrics) ------------------
 
-_entry(Scenario(
+_entry(dict(
     name="lossy-tcp-retransmit",
     description="Real sockets, hostile link: 15% of frames dropped on "
                 "every TCP link; the seq/ack retransmission layer still "
@@ -154,7 +179,7 @@ _entry(Scenario(
     link={"loss": 0.15, "delay": 0.001, "jitter": 0.002},
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="adverse-local-mix",
     description="The full netem gallery on the deterministic local "
                 "fabric: loss, delay+jitter, duplication, and reordering "
@@ -164,7 +189,7 @@ _entry(Scenario(
           "duplicate": 0.05, "reorder": 0.1},
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="batched-tcp-lossy",
     description="Batching and adversity combined: four Bracha instances "
                 "over real sockets with 10% frame loss — batched frames "
@@ -174,7 +199,7 @@ _entry(Scenario(
     batching="flush", link={"loss": 0.1, "delay": 0.001},
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="batched-binary-tcp",
     description="The fast wire path end to end: four Bracha instances "
                 "over real sockets with the compact binary codec — "
@@ -187,7 +212,7 @@ _entry(Scenario(
 
 # -- multi-process entries (one OS process per node) -------------------------
 
-_entry(Scenario(
+_entry(dict(
     name="mp-smoke",
     description="Four nodes, four OS processes: the dealer materialises "
                 "trusted setup into per-node bundles, the orchestrator "
@@ -197,7 +222,7 @@ _entry(Scenario(
     protocol="bracha", n=4, proposals=1, fabric="mp", seed=53,
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="mp-crash",
     description="Real crash-fault injection: node 3's OS process is "
                 "SIGKILLed at the start barrier and the surviving n-1 "
@@ -207,7 +232,7 @@ _entry(Scenario(
     faults={3: {"kind": "kill", "after": 0.0}},
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="mp-lossy",
     description="Multi-process nodes behind a deterministic adverse "
                 "network: 10% frame loss on every directed link, the "
@@ -217,7 +242,7 @@ _entry(Scenario(
     link={"loss": 0.1, "rto": 0.05},
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="mp-restart",
     description="Crash *recovery* made literal: node 3's OS process is "
                 "SIGKILLed 0.1s into the run, respawned 0.5s later from "
@@ -231,7 +256,7 @@ _entry(Scenario(
           "max_retries": 200},
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="recovery-local",
     description="The durable WAL exercised on the deterministic local "
                 "fabric: every node logs its proposal and deliveries to "
@@ -242,7 +267,7 @@ _entry(Scenario(
     recovery="wal:benchmarks/out/recovery-local",
 ))
 
-_entry(Scenario(
+_entry(dict(
     name="partition-heal",
     description="Scripted split-brain on a real transport: {0,1}|{2,3} "
                 "severed for the first 0.25s of modeled time, then healed; "
@@ -251,11 +276,11 @@ _entry(Scenario(
                 "readable by `repro report`.",
     protocol="bracha", n=4, proposals=1, fabric="local", seed=43,
     partitions=[{"start": 0.0, "stop": 0.25, "groups": [[0, 1], [2, 3]]}],
-    # observe validates jsonl parents at Scenario construction and the
-    # catalog is built at import time, so this directory must exist in a
-    # fresh checkout — benchmarks/out/.gitkeep is committed exactly for
-    # that.  Routing the trace there keeps run artifacts out of the repo
-    # root and under the single directory CI already uploads.
+    # observe validates jsonl parents when the entry is built (on
+    # lookup), so this directory must exist where the entry runs — a
+    # fresh checkout has it: benchmarks/out/.gitkeep is committed exactly
+    # for that.  Routing the trace there keeps run artifacts out of the
+    # repo root and under the single directory CI already uploads.
     observe="jsonl:benchmarks/out/partition-heal-trace.jsonl",
 ))
 

@@ -11,10 +11,12 @@ fabric it names:
 * ``mp`` — one OS process per node over the same TCP transport,
   bootstrapped by a trusted-setup dealer (:mod:`repro.mp`).
 
-All three build their per-process stacks through the same
-:class:`~repro.stacks.ProtocolPlan` and funnel their outcomes through
-the same verifiers (:func:`~repro.analysis.experiments.verify_outcome`
-and friends), so one scenario is directly comparable across fabrics::
+All of them build their per-process stacks through the same
+:class:`~repro.stacks.ProtocolPlan`, turn each node's outcome into the
+same :func:`~repro.analysis.experiments.node_record`, and fold the
+records through the one
+:func:`~repro.analysis.experiments.collect_result`, so one scenario is
+held to the same checks and directly comparable across fabrics::
 
     from repro.scenario import Scenario, run
 
@@ -27,12 +29,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..errors import ConfigError, EventBudgetExceeded
+from ..errors import ConfigError, EventBudgetExceeded, LivenessFailure
 from ..analysis.experiments import (
-    fill_common_meta,
-    verify_acs_outcome,
-    verify_instance_outcomes,
-    verify_outcome,
+    DecideLog,
+    collect_result,
+    node_record,
+    sim_record,
 )
 from ..obs import MetricsRegistry, Observer, build_observer, build_profiler
 from ..recovery.restart import RestartBehavior
@@ -40,7 +42,7 @@ from ..sim.process import Process
 from ..sim.rng import derive_seed
 from ..sim.runner import Simulation
 from ..stacks import ProtocolPlan, build_plan_behavior
-from ..types import Decision, ProcessId, RunResult
+from ..types import ProcessId, RunResult
 from .spec import Scenario
 
 
@@ -121,24 +123,8 @@ def _run_sim(
         observer.bind_clock(lambda: sim.now)
         sim.network.observer = observer
     sim.profiler = build_profiler(scenario.profile, registry)
-    # First-Decide virtual time per node, captured the moment the effect
-    # applies — richer than stamping every decision with the end time.
-    decide_times: Dict[ProcessId, float] = {}
-    # A recovery replay re-fires Decide effects the pre-crash execution
-    # already reported; count/emit each (node, module) decision once.
-    decided_modules: set = set()
-
-    def _on_decide(pid: ProcessId, effect: Any) -> None:
-        if (pid, effect.module) in decided_modules:
-            return
-        decided_modules.add((pid, effect.module))
-        registry.count("module_decisions")
-        decide_times.setdefault(pid, sim.now)
-        if observer is not None:
-            observer.emit(
-                "decide", node=pid, instance=effect.module,
-                round=effect.round, detail=effect.value,
-            )
+    # Decide times are virtual: the step at which a node's plan decided.
+    decides = DecideLog(plan, registry, lambda: sim.now, observer)
 
     def _on_restart_event(kind: str, pid: ProcessId, detail: Dict[str, Any]) -> None:
         if observer is not None:
@@ -159,8 +145,9 @@ def _run_sim(
             spec = restart_specs[pid]
 
             def _factory(process: Process, p: ProcessId = pid) -> List[Any]:
-                process.on_decide = lambda effect: _on_decide(p, effect)
-                return plan.build(process)
+                modules = plan.build(process)
+                decides.attach(p, process, modules)
+                return modules
 
             node = RestartBehavior(
                 pid, sim.network, params, _factory,
@@ -178,8 +165,8 @@ def _run_sim(
             behaviors[pid] = behavior
         else:
             process = Process(pid, sim.network, params, eager=eager)
-            process.on_decide = lambda effect, p=pid: _on_decide(p, effect)
             stacks[pid] = plan.build(process)
+            decides.attach(pid, process, stacks[pid])
 
     sim.start()
     for pid, modules in stacks.items():
@@ -211,67 +198,29 @@ def _run_sim(
             raise
         budget_exhausted = True
 
-    result = RunResult(
-        steps=sim.steps,
-        messages_sent=sim.metrics.sent,
-        messages_delivered=sim.metrics.delivered,
-        virtual_time=sim.now,
+    violations = (
+        ["event budget exhausted (possible livelock)"]
+        if budget_exhausted else []
     )
-    if budget_exhausted:
-        result.violations.append("event budget exhausted (possible livelock)")
-
-    # Merge recovered restart nodes into the correct-node readout.  A
-    # node still down when the run ends has no modules to read: that is
-    # a liveness failure (a correct node was expected back).
-    readout: Dict[ProcessId, List[Any]] = dict(stacks)
-    still_down = []
-    for pid, node in restart_nodes.items():
-        if node.down_now:
-            still_down.append(pid)
-        else:
-            readout[pid] = node.modules
+    # A restart node still down when the run ends has no modules to read:
+    # that is a liveness failure (a correct node was expected back).
+    still_down = sorted(pid for pid, r in restart_nodes.items() if r.down_now)
     if still_down:
-        from ..errors import LivenessFailure
-
         message = (
-            f"restart nodes never recovered: {sorted(still_down)} "
+            f"restart nodes never recovered: {still_down} "
             "(no traffic arrived after the down window)"
         )
-        result.violations.append(message)
+        violations.append(message)
         if check:
             raise LivenessFailure(message)
 
-    coin_flips = 0
-    for pid, modules in readout.items():
-        if scenario.protocol == "acs":
-            acs = modules[0]
-            if acs.done:
-                result.decisions[pid] = Decision(pid, acs.output.pids, 0, sim.now)
-            continue
-        head = modules[0]
-        if head.decided:
-            result.decisions[pid] = Decision(
-                pid, head.decision, head.decision_round, sim.now
-            )
-        if plan.halted(modules):
-            result.halted.add(pid)
-        result.rounds = max(result.rounds, max(m.stats["rounds"] for m in modules))
-        coin_flips += sum(m.stats["coin_flips"] for m in modules)
-
-    result.meta["coin_flips"] = coin_flips
-    result.meta["protocol"] = scenario.protocol
-    result.meta["instances"] = scenario.instances
-    result.meta["batching"] = scenario.batching
-    fill_common_meta(result, proposals, behaviors, sim.metrics.sent_by_kind)
-
-    registry.count("messages_sent", result.messages_sent)
-    registry.count("messages_delivered", result.messages_delivered)
-    registry.count("decisions", len(result.decisions))
-    registry.gauge("virtual_time", result.virtual_time)
-    for latency in decide_times.values():
-        registry.observe("decision_latency", latency)
+    meta: Dict[str, Any] = {
+        "protocol": scenario.protocol,
+        "instances": scenario.instances,
+        "batching": scenario.batching,
+    }
     if restart_nodes:
-        result.meta["restarted"] = sorted(restart_nodes)
+        meta["restarted"] = sorted(restart_nodes)
         registry.count(
             "restarts", sum(r.restarts for r in restart_nodes.values())
         )
@@ -285,40 +234,20 @@ def _run_sim(
             "recovery_replayed",
             sum(r.replayed for r in restart_nodes.values()),
         )
-    result.metrics = registry.snapshot()
-
-    if scenario.protocol == "acs":
-        outputs = {
-            pid: modules[0].output
-            for pid, modules in readout.items() if modules[0].done
-        }
-        verify_acs_outcome(outputs, params, result, check=check)
-        _check_acs_liveness(readout, result, check)
-    else:
-        verify_outcome(
-            proposals,
-            {pid: modules[0] for pid, modules in readout.items()},
-            result,
-            check=check,
-        )
-        if scenario.instances > 1:
-            verify_instance_outcomes(
-                proposals, readout, scenario.instances, result, check=check
-            )
-    return result
-
-
-def _check_acs_liveness(
-    stacks: Dict[ProcessId, List[Any]], result: RunResult, check: bool
-) -> None:
-    missing = sorted(pid for pid, modules in stacks.items() if not modules[0].done)
-    if missing:
-        from ..errors import LivenessFailure
-
-        message = f"ACS never completed at: {missing}"
-        result.violations.append(message)
-        if check:
-            raise LivenessFailure(message)
+    modules_by_pid = dict(stacks)
+    modules_by_pid.update(
+        (pid, node.modules) for pid, node in restart_nodes.items()
+        if not node.down_now
+    )
+    records = [sim_record(sim)] + [
+        node_record(pid, modules, scenario.protocol, decides.times.get(pid))
+        for pid, modules in modules_by_pid.items()
+    ]
+    return collect_result(
+        records, proposals, behaviors,
+        params=params, protocol=scenario.protocol, elapsed=sim.now,
+        registry=registry, meta=meta, violations=violations, check=check,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ class TestSimMpParity:
         assert decides == _logical_decides(sim)
         assert decides  # non-vacuous: every node decided somewhere
         assert mp.decided_values == sim.decided_values
+        assert mp.meta["codec"] == scenario.codec
 
 
 class TestMpFaults:

@@ -1,7 +1,12 @@
 """The scenario catalog: shape, round-tripping, and freshness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.scenario import CATALOG, Scenario, catalog_names, get_scenario, run
 from repro.errors import ConfigError
 from repro.stacks import PROTOCOLS
@@ -66,3 +71,34 @@ class TestExecution:
         result = run(get_scenario(name))
         assert result.violations == []
         assert result.decided_values and len(result.decided_values) == 1
+
+
+class TestImportAnywhere:
+    """Importing ``repro`` builds no catalog entry, so it works from any
+    directory — even one without the ``benchmarks/out/`` an entry's
+    JSONL trace path needs; that entry fails when it is looked up."""
+
+    def _python(self, cwd, *args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, *args], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_outside_the_checkout(self, tmp_path):
+        proc = self._python(tmp_path, "-c", "import repro; print(repro.__version__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repro.__version__
+
+    def test_version_outside_the_checkout(self, tmp_path):
+        proc = self._python(tmp_path, "-m", "repro", "--version")
+        assert proc.returncode == 0, proc.stderr
+        assert repro.__version__ in proc.stdout
+
+    def test_entry_needing_the_checkout_fails_on_lookup(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert "partition-heal" in CATALOG
+        with pytest.raises(ConfigError, match="does not exist"):
+            get_scenario("partition-heal")

@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis.experiments import (
     ablation_stack,
+    collect_result,
     make_coin,
     normalize_proposals,
     setup_consensus,
-    verify_result,
 )
 from repro.core.coin import DealerCoin, LocalCoin, ShareCoinProvider
 from repro.errors import (
@@ -16,7 +16,6 @@ from repro.errors import (
     LivenessFailure,
     ValidityViolation,
 )
-from repro.types import Decision, RunResult
 
 
 class TestNormalizeProposals:
@@ -103,41 +102,43 @@ class TestSetup:
 
 
 class TestVerifyResult:
+    """collect_result's checks, fed hand-made outcome records."""
+
     def _run(self, proposals=(0, 1, 0, 1)):
         return setup_consensus(n=4, proposals=list(proposals), seed=0)
 
-    def _result(self, decisions):
-        result = RunResult()
-        for pid, bit in decisions.items():
-            result.decisions[pid] = Decision(pid, bit, 1, 0.0)
-        return result
+    def _verify(self, run, decisions, check=True):
+        records = [
+            {
+                "node": pid, "correct": True, "decide_time": None,
+                "decisions": [{"decided": pid in decisions,
+                               "value": decisions.get(pid), "round": 1}],
+                "acs": None, "invariant_flags": [[]], "halted": False,
+                "rounds": 1, "coin_flips": 0,
+            }
+            for pid in run.correct_pids
+        ]
+        return collect_result(records, run.proposals, run.behaviors,
+                              check=check)
 
     def test_clean_result_passes(self):
-        run = self._run()
-        result = self._result({0: 1, 1: 1, 2: 1, 3: 1})
-        verify_result(run, result)
+        result = self._verify(self._run(), {0: 1, 1: 1, 2: 1, 3: 1})
         assert result.violations == []
 
     def test_disagreement_raises(self):
-        run = self._run()
-        result = self._result({0: 1, 1: 0, 2: 1, 3: 1})
         with pytest.raises(AgreementViolation):
-            verify_result(run, result)
+            self._verify(self._run(), {0: 1, 1: 0, 2: 1, 3: 1})
 
     def test_invalid_value_raises(self):
-        run = self._run(proposals=(1, 1, 1, 1))
-        result = self._result({0: 0, 1: 0, 2: 0, 3: 0})
         with pytest.raises(ValidityViolation):
-            verify_result(run, result)
+            self._verify(self._run(proposals=(1, 1, 1, 1)),
+                         {0: 0, 1: 0, 2: 0, 3: 0})
 
     def test_missing_decisions_raise(self):
-        run = self._run()
-        result = self._result({0: 1})
         with pytest.raises(LivenessFailure):
-            verify_result(run, result)
+            self._verify(self._run(), {0: 1})
 
     def test_check_false_records_instead(self):
-        run = self._run()
-        result = self._result({0: 1, 1: 0, 2: 1, 3: 1})
-        verify_result(run, result, check=False)
+        result = self._verify(self._run(), {0: 1, 1: 0, 2: 1, 3: 1},
+                              check=False)
         assert any("decided" in v for v in result.violations)
