@@ -1,4 +1,6 @@
-"""A1/A2 — Ablations of the two design choices DESIGN.md calls out.
+"""A1/A2 — Ablations of Bracha's two design choices: validation and
+decide amplification (the ``bracha-novalidate`` / ``bracha-noamplify``
+protocols in :data:`repro.stacks.STACKS`).
 
 * **A1: remove validation.**  One stubborn Byzantine process broadcasts
   well-formed step messages for the minority bit (with a forged decide
@@ -19,9 +21,8 @@
 
 from conftest import run_once
 
-from repro import run_consensus
-from repro.analysis.experiments import ablation_stack
 from repro.analysis.tables import format_table
+from repro.scenario import Scenario, assemble_sim, run
 
 TRIALS = 12
 
@@ -30,12 +31,12 @@ def liar_run(validate, seed):
     """n=4: correct p0..p2 propose 1 unanimously; p3 stubbornly
     broadcasts well-formed step messages for 0 (with a forged decide
     proposal in step 3) in every round."""
-    return run_consensus(
+    return run(Scenario(
+        protocol="bracha" if validate else "bracha-novalidate",
         n=4, proposals=[1, 1, 1, 0],
         faults={3: {"kind": "stubborn", "bit": 0, "horizon": 16}},
-        stack=ablation_stack(validate=validate),
-        seed=seed, check=False, max_steps=1_200_000,
-    )
+        seed=seed, max_steps=1_200_000,
+    ), check=False)
 
 
 def test_a1_validation_ablation(benchmark, table_sink, bench_sink):
@@ -88,23 +89,24 @@ def test_a2_halting_ablation(benchmark, table_sink):
     extra_budget = 30_000
 
     def tail_traffic(amplify, seed):
-        from repro.analysis.experiments import setup_consensus
+        simrun = assemble_sim(Scenario(
+            protocol="bracha" if amplify else "bracha-noamplify",
+            n=4, proposals=[0, 1, 0, 1], seed=seed,
+        ))
+        sim = simrun.sim
+        simrun.start()
+        sim.run(until=simrun.decided, max_steps=2_000_000)
 
-        run = setup_consensus(
-            n=4, proposals=[0, 1, 0, 1],
-            stack=ablation_stack(amplify_decides=amplify), seed=seed,
-        )
-        sim = run.sim
-        sim.start()
-        run.propose_all()
-        sim.run(until=run.all_decided, max_steps=2_000_000)
+        def rounds():
+            return max(c.stats["rounds"] for (c,) in simrun.stacks.values())
+
         at_decision = sim.metrics.sent
-        rounds_at_decision = max(c.stats["rounds"] for c in run.consensus.values())
+        rounds_at_decision = rounds()
         try:
             sim.run(max_steps=extra_budget)  # drain or keep spinning
         except Exception:
             pass
-        rounds_after = max(c.stats["rounds"] for c in run.consensus.values())
+        rounds_after = rounds()
         return (
             sim.metrics.sent - at_decision,
             rounds_after - rounds_at_decision,

@@ -11,47 +11,38 @@ Gramoli), while Bracha's validation keeps it live under the same attack.
 
 from conftest import run_once
 
-from repro import run_consensus
-from repro.adversary import (
-    CoinRushScheduler,
-    DelayVictimScheduler,
-    SplitBrainScheduler,
-)
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
-from repro.baselines import run_protocol
-from repro.core.coin import DealerCoin
 from repro.errors import EventBudgetExceeded, LivenessFailure
+from repro.scenario import Scenario, run
 
 TRIALS = 6
 N = 4
 
 
-def bracha_steps(scheduler_factory, coin_factory, seed):
-    coin = coin_factory(seed)
-    result = run_consensus(
-        n=N, proposals=[0, 1, 0, 1], coin=coin,
-        scheduler=scheduler_factory(coin),
+def bracha_steps(scheduler, args, seed):
+    result = run(Scenario(
+        n=N, proposals=[0, 1, 0, 1], coin="dealer",
+        scheduler=scheduler, scheduler_args=args,
         seed=seed, max_steps=4_000_000,
-    )
+    ))
     return result.steps
 
 
 def test_f2_bracha_latency_under_attack(benchmark, table_sink, bench_sink):
     schedulers = [
-        ("fair-random", lambda coin: None),
-        ("victim-starve", lambda coin: DelayVictimScheduler([0], holdback=150)),
-        ("split-brain", lambda coin: SplitBrainScheduler([0, 1], holdback=150)),
-        ("coin-rush", lambda coin: CoinRushScheduler(coin, holdback=150)),
+        ("fair-random", "random", {}),
+        ("victim-starve", "victim", {"victims": [0], "holdback": 150}),
+        ("split-brain", "split", {"group_a": [0, 1], "holdback": 150}),
+        ("coin-rush", "coin-rush", {"holdback": 150}),
     ]
 
     def experiment():
         rows = []
         baseline_mean = None
-        for name, factory in schedulers:
+        for name, scheduler, args in schedulers:
             steps = [
-                bracha_steps(factory, lambda s: DealerCoin(N, 1, seed=s), seed)
-                for seed in range(TRIALS)
+                bracha_steps(scheduler, args, seed) for seed in range(TRIALS)
             ]
             summary = summarize(steps)
             if baseline_mean is None:
@@ -77,7 +68,7 @@ def test_f2_bracha_latency_under_attack(benchmark, table_sink, bench_sink):
             "fair_mean_steps": round(rows[0][2], 1),
             "worst_slowdown": round(max(row[4] for row in rows), 2),
         },
-        meta={"schedulers": [name for name, _f in schedulers],
+        meta={"schedulers": [name for name, _s, _a in schedulers],
               "trials": TRIALS},
     )
 
@@ -89,13 +80,12 @@ def test_f2_mmr14_liveness_contrast(benchmark, table_sink):
     budget = 120_000
 
     def attempt(protocol, seed):
-        coin = DealerCoin(N, 1, seed=seed)
         try:
-            run_protocol(
-                protocol, n=N, proposals=[0, 1, 0, 1], coin=coin,
-                scheduler=CoinRushScheduler(coin, holdback=400),
+            run(Scenario(
+                protocol=protocol, n=N, proposals=[0, 1, 0, 1], coin="dealer",
+                scheduler="coin-rush", scheduler_args={"holdback": 400},
                 seed=seed, max_steps=budget,
-            )
+            ))
             return "decided"
         except (EventBudgetExceeded, LivenessFailure):
             return "stalled"

@@ -15,7 +15,7 @@ from conftest import run_once
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
-from repro.baselines import run_protocol
+from repro.scenario import Scenario, run
 
 TRIALS = 6
 
@@ -34,11 +34,11 @@ def test_f3_protocol_comparison(benchmark, table_sink, bench_sink):
             for n in sizes:
                 rounds, messages, steps = [], [], []
                 for seed in range(TRIALS):
-                    result = run_protocol(
-                        protocol, n=n, coin=coin,
+                    result = run(Scenario(
+                        protocol=protocol, n=n, coin=coin,
                         proposals=[pid % 2 for pid in range(n)],
                         seed=seed * 17 + n, max_steps=5_000_000,
-                    )
+                    ))
                     rounds.append(result.decision_round())
                     messages.append(result.messages_sent)
                     steps.append(result.steps)
@@ -98,11 +98,11 @@ def test_f3_fault_tolerance_within_envelopes(benchmark, table_sink):
             decided = 0
             rounds = []
             for seed in range(TRIALS):
-                result = run_protocol(
-                    protocol, n=n, t=t,
+                result = run(Scenario(
+                    protocol=protocol, n=n, t=t,
                     proposals=[pid % 2 for pid in range(n)],
                     faults=faults, seed=seed * 31, max_steps=5_000_000,
-                )
+                ))
                 decided += int(result.all_decided)
                 rounds.append(result.decision_round())
             rows.append([protocol, n, t, len(faults), TRIALS, decided,

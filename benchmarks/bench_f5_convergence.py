@@ -15,28 +15,27 @@ about.
 
 from conftest import run_once
 
-from repro.analysis.experiments import setup_consensus
 from repro.analysis.tables import format_table
+from repro.scenario import Scenario, assemble_sim
 
 TRIALS = 15
 MAX_ROUND = 5
 
 
 def convergence_curve(n, coin, seed):
-    run = setup_consensus(
+    simrun = assemble_sim(Scenario(
         n=n, proposals=[pid % 2 for pid in range(n)], coin=coin, seed=seed
-    )
-    sim = run.sim
-    sim.start()
-    run.propose_all()
-    sim.run(until=run.all_decided, max_steps=4_000_000)
-    decisions = {c.decision for c in run.consensus.values()}
+    ))
+    simrun.start()
+    simrun.sim.run(until=simrun.decided, max_steps=4_000_000)
+    consensus = [c for (c,) in simrun.stacks.values()]
+    decisions = {c.decision for c in consensus}
     assert len(decisions) == 1
     decided = decisions.pop()
     curve = []
     for round_ in range(1, MAX_ROUND + 1):
         entries = [
-            c.round_history.get(round_) for c in run.consensus.values()
+            c.round_history.get(round_) for c in consensus
         ]
         known = [bit for bit in entries if bit is not None]
         if not known:
@@ -44,8 +43,8 @@ def convergence_curve(n, coin, seed):
             continue
         agreeing = sum(1 for bit in known if bit == decided)
         curve.append(agreeing / len(known))
-    flips = sum(c.stats["coin_flips"] for c in run.consensus.values())
-    adoptions = sum(c.stats["adoptions"] for c in run.consensus.values())
+    flips = sum(c.stats["coin_flips"] for c in consensus)
+    adoptions = sum(c.stats["adoptions"] for c in consensus)
     return curve, flips, adoptions
 
 

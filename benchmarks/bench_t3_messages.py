@@ -10,9 +10,9 @@ Bracha's n³ is the price of full per-sender broadcast validation.)
 
 from conftest import run_once
 
-from repro import run_consensus
 from repro.analysis.stats import fit_power_law, summarize
 from repro.analysis.tables import format_table
+from repro.scenario import Scenario, run
 
 TRIALS = 5
 
@@ -25,10 +25,10 @@ def test_t3_messages_per_round(benchmark, table_sink, bench_sink):
         for n in sizes:
             per_round = []
             for seed in range(TRIALS):
-                result = run_consensus(
+                result = run(Scenario(
                     n=n, proposals=[pid % 2 for pid in range(n)],
                     seed=seed * 13 + n, max_steps=4_000_000,
-                )
+                ))
                 # Count only consensus-layer RBC traffic; decide/coin
                 # messages are O(n²) and excluded from the model.
                 rbc_messages = result.meta["messages_by_kind"].get("rbc/RbcMessage", 0)

@@ -12,8 +12,8 @@ n/3 Byzantine processes.  Regenerates two sides of the boundary at n=10:
 
 from conftest import run_once
 
-from repro import run_consensus
 from repro.analysis.tables import format_table
+from repro.scenario import Scenario, run
 
 TRIALS = 8
 N = 10
@@ -39,12 +39,12 @@ def test_t4_resilience_boundary(benchmark, table_sink, bench_sink):
                     N - 1 - i: "two_faced" if i % 2 == 0 else "silent"
                     for i in range(injected)
                 }
-                result = run_consensus(
+                result = run(Scenario(
                     n=N, proposals=[pid % 2 for pid in range(N)],
                     faults=faults, seed=seed * 7 + injected,
-                    check=False, allow_excess_faults=True,
+                    allow_excess_faults=True,
                     max_steps=1_500_000,
-                )
+                ), check=False)
                 outcomes[classify(result)] += 1
             rows.append([
                 injected, f"{'<' if injected <= 3 else '>='} n/3",

@@ -1,13 +1,13 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one table or figure of the evaluation plan
-(DESIGN.md §3).  The pattern:
+Every benchmark regenerates one table or figure that tests a claim of
+the paper (or of a baseline it is compared against).  The pattern:
 
 * the experiment body runs exactly once through
   ``benchmark.pedantic(fn, iterations=1, rounds=1)`` so pytest-benchmark
   reports its wall time without re-running multi-minute sweeps;
 * the resulting rows are printed as a paper-style table *and* written to
-  ``benchmarks/out/<name>.txt`` so EXPERIMENTS.md can quote them.
+  ``benchmarks/out/<name>.txt``, where they can be quoted verbatim.
 """
 
 from __future__ import annotations

@@ -11,48 +11,42 @@ validity hold in every single row — the adversary can only buy delay.
 
 import sys
 
-from repro import run_consensus
-from repro.adversary import (
-    CoinRushScheduler,
-    DelayVictimScheduler,
-    SplitBrainScheduler,
-)
-from repro.core.coin import DealerCoin
+from repro import Scenario, run_scenario
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 1
     n = 7  # t = 2: inject two faults at will
 
+    fair = {"scheduler": "random"}
     gallery = [
-        ("none", {}, None),
-        ("silent ×2", {5: "silent", 6: "silent"}, None),
-        ("crash mid-run", {6: {"kind": "crash", "crash_after": 40}}, None),
-        ("two-faced ×2", {5: "two_faced", 6: "two_faced"}, None),
-        ("fuzzer (p=1.0)", {6: {"kind": "fuzzer", "mutate_p": 1.0, "fanout": 4}}, None),
+        ("none", {}, fair),
+        ("silent ×2", {5: "silent", 6: "silent"}, fair),
+        ("crash mid-run", {6: {"kind": "crash", "crash_after": 40}}, fair),
+        ("two-faced ×2", {5: "two_faced", 6: "two_faced"}, fair),
+        ("fuzzer (p=1.0)", {6: {"kind": "fuzzer", "mutate_p": 1.0, "fanout": 4}}, fair),
         ("silent + victim-starve", {6: "silent"},
-         lambda coin: DelayVictimScheduler([0], holdback=150)),
+         {"scheduler": "victim", "scheduler_args": {"victims": [0], "holdback": 150}}),
         ("two-faced + split-brain", {6: "two_faced"},
-         lambda coin: SplitBrainScheduler([0, 1, 2], holdback=150)),
+         {"scheduler": "split",
+          "scheduler_args": {"group_a": [0, 1, 2], "holdback": 150}}),
         ("two-faced + coin-rush", {6: "two_faced"},
-         lambda coin: CoinRushScheduler(coin, holdback=150)),
+         {"scheduler": "coin-rush", "scheduler_args": {"holdback": 150}}),
     ]
 
     print(f"=== n={n}, t=2, split inputs, seed {seed} ===\n")
     print(f"{'adversary':<26} {'decision':>8} {'rounds':>6} {'steps':>8} "
           f"{'verdict':>22}")
-    for label, faults, scheduler_factory in gallery:
-        coin = DealerCoin(n, 2, seed=seed)
-        scheduler = scheduler_factory(coin) if scheduler_factory else None
-        result = run_consensus(
+    for label, faults, network in gallery:
+        result = run_scenario(Scenario(
             n=n,
             proposals=[0, 1, 0, 1, 0, 1, 0],
-            coin=coin,
+            coin="dealer",
             faults=faults,
-            scheduler=scheduler,
             seed=seed,
             max_steps=6_000_000,
-        )
+            **network,
+        ))
         decision = result.decided_values.pop()
         print(f"{label:<26} {decision:>8} {result.decision_round():>6} "
               f"{result.steps:>8} {'agreement + validity ok':>22}")

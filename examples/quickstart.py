@@ -10,7 +10,7 @@ round, and where the messages went.
 
 import sys
 
-from repro import run_consensus
+from repro import Scenario, run_scenario
 from repro.params import for_system
 
 
@@ -24,12 +24,12 @@ def main() -> None:
     print(f"inputs: p0=0 p1=1 p2=1, p3 is Byzantine (two-faced)")
     print()
 
-    result = run_consensus(
+    result = run_scenario(Scenario(
         n=n,
         proposals=[0, 1, 1, 0],
         faults={3: "two_faced"},
         seed=seed,
-    )
+    ))
 
     decision = result.decided_values.pop()
     print(f"decision: {decision}  (proposed by a correct process: yes — "

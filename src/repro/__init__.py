@@ -18,23 +18,16 @@ or authenticated TCP alike.
 
 Quickstart::
 
-    from repro import Scenario, run_scenario, run_consensus
+    from repro import Scenario, run_scenario
 
     result = run_scenario(Scenario(n=4, proposals=[0, 1, 1, 0], seed=7))
     print(result.decided_values)   # {0} or {1} — but always a singleton
 
-    run_consensus(n=4, proposals=[0, 1, 1, 0], seed=7)  # low-level sim entry
-
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-reproduction of every claim in the paper.
+See README.md for a tour, docs/architecture.md for the layers, and
+docs/scenarios.md for the scenario fields, registries and catalog.
 """
 
-from .analysis.experiments import (
-    repeat_consensus,
-    run_broadcast,
-    run_consensus,
-    setup_consensus,
-)
+from .analysis.experiments import run_broadcast
 from .core.broadcast import BroadcastLayer, RbcDelivery, RbcMessage
 from .core.coin import DealerCoin, LocalCoin, ShareCoinProvider
 from .core.consensus import BrachaConsensus, DecisionEvent
@@ -93,11 +86,8 @@ __all__ = [
     "get_scenario",
     "load_scenario",
     "max_faults",
-    "repeat_consensus",
     "run_broadcast",
     "run_cluster",
     "run_cluster_sync",
-    "run_consensus",
     "run_scenario",
-    "setup_consensus",
 ]

@@ -1,37 +1,23 @@
-"""Experiment harness: seeded runs, safety checking, aggregation, tables.
+"""Result assembly, statistics, and tables.
 
-:mod:`repro.analysis.experiments` is the single entry point used by the
-test suite, the benchmarks, and the examples: it assembles a full system
-(simulator, network, processes, coin scheme, fault injection), runs it,
-and *checks the paper's safety properties* on the way out — agreement,
-validity, and integrity are asserted by the harness rather than trusted,
-so a regression in any protocol layer fails loudly everywhere.
+:mod:`repro.analysis.experiments` folds every fabric's per-node outcome
+records into one verified ``RunResult`` and *checks the paper's safety
+properties* on the way out — agreement, validity, and integrity are
+asserted rather than trusted, so a regression in any protocol layer
+fails loudly everywhere.  Runs themselves are declared as
+:class:`~repro.scenario.Scenario` values and executed by
+:func:`repro.scenario.run`.
 """
 
-from .experiments import (
-    ConsensusRun,
-    broadcast_stack,
-    build_consensus_stack,
-    run_broadcast,
-    run_consensus,
-    repeat_consensus,
-)
+from .experiments import broadcast_stack, run_broadcast
 from .stats import Summary, fit_power_law, summarize
-from .sweeps import Sweep, SweepResult, quick_sweep
 from .tables import format_table
 
 __all__ = [
-    "ConsensusRun",
     "Summary",
-    "Sweep",
-    "SweepResult",
     "broadcast_stack",
-    "build_consensus_stack",
     "fit_power_law",
     "format_table",
-    "repeat_consensus",
-    "quick_sweep",
     "run_broadcast",
-    "run_consensus",
     "summarize",
 ]

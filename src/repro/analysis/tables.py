@@ -1,9 +1,9 @@
 """Fixed-width and markdown table rendering for benchmark output.
 
 Every benchmark regenerating one of the paper-shaped tables prints its
-rows through :func:`format_table`, so the harness output reads like the
-evaluation section of a systems paper and EXPERIMENTS.md can paste it
-verbatim.
+rows through :func:`format_table` and writes the same text to
+``benchmarks/out/<name>.txt``, so the output reads like the evaluation
+section of a systems paper and can be quoted verbatim.
 """
 
 from __future__ import annotations

@@ -10,21 +10,22 @@
   the modern descendant of Bracha's protocol: binary-value broadcast
   replaces full reliable broadcast, shaving a factor of ``n`` off the
   per-round message count, at the price of requiring a common coin.
-* :mod:`repro.baselines.rabin` — **Rabin (FOCS 1983)** as a
-  configuration: Bracha's round structure driven by the dealer-shared
-  common coin, giving constant expected rounds.
+* **Rabin (FOCS 1983)** is a configuration, not a module: Bracha's
+  round structure driven by the dealer-shared common coin, giving
+  constant expected rounds — ``Scenario(protocol="bracha",
+  coin="dealer")`` (oracle coin) or ``coin="shares"`` (the coin
+  reconstructed from Shamir shares over the network).
 
 All baselines run on the same simulator, coin schemes, and fault
-behaviors as the core protocol, and the comparison harness
-(:mod:`repro.baselines.harness`) applies the same safety checks.
+behaviors as the core protocol: each is a protocol name in
+:data:`repro.stacks.STACKS`, run as a :class:`~repro.scenario.Scenario`
+and held to the same safety checks.
 """
 
 from .benor import BenOrConsensus
 from .benor_crash import BenOrCrashConsensus
 from .bv_broadcast import BinaryValueBroadcast, BvDeliver
-from .harness import DEFAULT_COIN, STACKS, run_protocol
 from .mmr14 import Mmr14Consensus
-from .rabin import rabin_configuration
 
 __all__ = [
     "BenOrConsensus",
@@ -32,6 +33,4 @@ __all__ = [
     "BinaryValueBroadcast",
     "BvDeliver",
     "Mmr14Consensus",
-    "rabin_configuration",
-    "run_protocol",
 ]

@@ -265,12 +265,16 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         for name in CATALOG:
             print(name)
         return 0
-    rows = [
-        [name, s.protocol, s.fabric,
-         f"n={s.n}" + (f" t={s.t}" if s.t is not None else ""),
-         s.description]
-        for name, s in CATALOG.items()
-    ]
+    rows = []
+    for name in CATALOG:
+        # Read the declared fields: building an entry validates it
+        # against the working directory (a jsonl: trace path).
+        spec = CATALOG.fields(name)
+        rows.append([
+            name, spec["protocol"], spec["fabric"],
+            f"n={spec['n']}" + (f" t={spec['t']}" if spec["t"] is not None else ""),
+            spec["description"],
+        ])
     print(format_table(
         ["name", "protocol", "fabric", "system", "description"], rows,
         title=f"scenario catalog ({len(CATALOG)} entries) — "

@@ -73,8 +73,12 @@ def _setup_secret(seed: int, digest: str) -> bytes:
 def share_dealer_seed(scenario: Scenario) -> int:
     """The dealer seed of the share-based coin (single instance only).
 
-    Mirrors :func:`repro.analysis.experiments.make_coin`:
-    ``derive_seed(instance_seed, "coin")`` of instance 0.
+    The seed every fabric's :class:`~repro.stacks.ProtocolPlan` gives its
+    :class:`~repro.core.coin.ShareCoinProvider`:
+    :func:`~repro.stacks.instance_coin` hands instance 0's
+    :func:`~repro.stacks.instance_coin_seed` to
+    :func:`~repro.analysis.experiments.make_coin`, which derives the
+    scheme's seed from it as ``derive_seed(instance_seed, "coin")``.
     """
     return derive_seed(instance_coin_seed(scenario.seed, 0), "coin")
 

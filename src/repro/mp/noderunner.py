@@ -60,7 +60,11 @@ from ..stacks import ProtocolPlan, build_plan_behavior
 from .bundle import NodeBundle, RunManifest, load_bundle, load_manifest
 from .control import MAX_CONTROL_LINE, parse_endpoint, read_msg, send_msg
 
-#: How long a node retries dialling peers that are still booting.
+#: How long a standalone node retries dialling peers that are still
+#: booting.  A controlled node dials once: every listener is bound
+#: before the orchestrator's go barrier, so a refused dial after ``go``
+#: means the peer died (a ``kill`` fault at ``after: 0.0``), and the
+#: send path's on-demand reconnect takes over instead of stalling boot.
 CONNECT_RETRY = 15.0
 
 
@@ -164,11 +168,12 @@ class NodeRunner:
         )
         await self._tcp.start()
 
-    async def connect(self) -> None:
-        """Dial every peer (retrying while they boot) and build the node."""
+    async def connect(self, retry_for: float = CONNECT_RETRY) -> None:
+        """Dial every peer (retrying for ``retry_for`` seconds while they
+        boot) and build the node."""
         netem = self.scenario.netem_config()
         self._tcp.set_peers(self.manifest.addresses)
-        await self._tcp.connect(retry_for=CONNECT_RETRY)
+        await self._tcp.connect(retry_for=retry_for)
         if self._clock is not None:
             self._clock.start()
         self.transport = self._tcp
@@ -370,7 +375,8 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
             raise ReproError(
                 f"node {runner.pid}: expected 'go', got {message!r}"
             )
-        await runner.connect()
+        # Every peer's listener was bound before 'go': one dial each.
+        await runner.connect(retry_for=0.0)
         runner.start_clock()
         runner.propose()
         task = asyncio.ensure_future(runner.node.run())

@@ -1,7 +1,7 @@
 """Cluster driver: spawn n nodes, run protocols to decision, measure.
 
 :class:`Cluster` assembles the runtime analogue of
-:func:`repro.analysis.experiments.setup_consensus`: the same protocol
+:func:`repro.scenario.assemble_sim`: the same protocol
 stacks (Bracha, Ben-Or and its crash variant, MMR-14, ACS), the same
 coin schemes, and the same Byzantine behaviors — but each process lives
 on its own :class:`~repro.runtime.node.Node` with a private

@@ -11,7 +11,8 @@ executing protocol experiments:
   the discrete-event simulator (``sim``), the asyncio runtime over
   in-process queues (``local``), or authenticated TCP (``tcp``), all
   through identical stacks and safety verifiers
-  (:mod:`repro.scenario.runner`);
+  (:mod:`repro.scenario.runner`); :func:`assemble_sim` hands back the
+  simulator assembly for step-by-step driving;
 * :data:`CATALOG` — named, curated scenarios runnable by name from the
   CLI and executed wholesale in CI (:mod:`repro.scenario.catalog`);
 * :class:`ScenarioGrid` — sweep expansion over scenario fields
@@ -40,7 +41,7 @@ from .spec import (
 )
 from .catalog import CATALOG, catalog_names, get_scenario
 from .grid import Cell, METRICS, ScenarioGrid, SweepResult
-from .runner import repeat, run
+from .runner import SimRun, assemble_sim, repeat, run
 
 __all__ = [
     "BATCHING_MODES",
@@ -52,8 +53,10 @@ __all__ = [
     "SCHEDULERS",
     "STOPS",
     "Scenario",
+    "SimRun",
     "ScenarioGrid",
     "SweepResult",
+    "assemble_sim",
     "catalog_names",
     "get_scenario",
     "load_scenario",

@@ -16,6 +16,7 @@ CI workflow executes every entry so the catalog can never rot.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Iterator, List, Mapping
 
 from ..errors import ConfigError
@@ -35,6 +36,12 @@ class _Catalog(Mapping):
 
     def __getitem__(self, name: str) -> Scenario:
         return Scenario(**self._fields[name])
+
+    def fields(self, name: str) -> Dict[str, Any]:
+        """An entry's declared fields, over the scenario defaults, without
+        building it — readable from any working directory."""
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        return {**defaults, **self._fields[name]}
 
     def __contains__(self, name: object) -> bool:
         return name in self._fields
@@ -139,6 +146,36 @@ _entry(dict(
                 "still forces a decision.",
     protocol="bracha", n=4,
     scheduler="victim", scheduler_args={"victims": (0,)}, seed=31,
+))
+
+_entry(dict(
+    name="coin-rush",
+    description="The coin-observing adversary: the scheduler peeks at the "
+                "dealer coin the moment it is released and holds back the "
+                "step messages that agree with it.  Bracha's validation "
+                "keeps it live (the attack only stretches latency); MMR-14 "
+                "under the same scheduler is the known livelock.",
+    protocol="bracha", n=4, proposals=(0, 1, 0, 1), coin="dealer",
+    scheduler="coin-rush", scheduler_args={"holdback": 150}, seed=37,
+))
+
+# -- ablations (the A1/A2 experiments' protocols) ----------------------------
+
+_entry(dict(
+    name="ablation-novalidate",
+    description="Bracha without the justification machinery, split "
+                "proposals, no faults: with only correct processes "
+                "validation never fires, so the ablation still decides "
+                "(a single stubborn Byzantine bidder breaks it; bench A1).",
+    protocol="bracha-novalidate", n=4, proposals=(0, 1, 0, 1), seed=1,
+))
+
+_entry(dict(
+    name="ablation-noamplify",
+    description="The textbook protocol without DECIDE amplification: every "
+                "correct process decides, but none ever halts — rounds run "
+                "on after the decision (bench A2).",
+    protocol="bracha-noamplify", n=4, proposals=(0, 1, 0, 1), seed=3,
 ))
 
 # -- runtime-fabric entries -------------------------------------------------

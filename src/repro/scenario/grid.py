@@ -17,9 +17,8 @@ size, coin scheme, fault tables, schedulers, even the execution fabric::
 
 Per-cell trial seeds derive from the grid seed and the cell's
 configuration, so adding a dimension does not reshuffle existing cells.
-This module also hosts the aggregation types (:class:`Cell`,
-:class:`SweepResult`, :data:`METRICS`) shared with the legacy
-:class:`repro.analysis.sweeps.Sweep` wrapper.
+The aggregation types (:class:`Cell`, :class:`SweepResult`,
+:data:`METRICS`) render and rank the executed cells.
 """
 
 from __future__ import annotations

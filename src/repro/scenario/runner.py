@@ -23,11 +23,14 @@ held to the same checks and directly comparable across fabrics::
     scenario = Scenario(protocol="bracha", n=4, proposals=1, seed=7)
     print(run(scenario).decided_values)               # {1} on the simulator
     print(run(scenario, fabric="tcp").decided_values)  # {1} over real sockets
+
+:func:`assemble_sim` exposes the ``sim`` fabric's assembly for callers
+that drive the simulation step by step (:class:`SimRun`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, EventBudgetExceeded, LivenessFailure
 from ..analysis.experiments import (
@@ -106,9 +109,141 @@ def repeat(
 # ---------------------------------------------------------------------------
 
 
-def _run_sim(
-    scenario: Scenario, check: bool, observer: Optional[Observer] = None
-) -> RunResult:
+class SimRun:
+    """One assembled simulator execution, ready to drive.
+
+    :func:`assemble_sim` builds it and :func:`run` drives it: ``start()``,
+    ``sim.run(until=...)`` to the scenario's stop condition, then
+    ``collect()``.  A caller that must watch the execution between steps
+    (a partition that must not decide before it heals, post-decision
+    traffic of an ablation) drives ``sim`` itself between ``start()`` and
+    ``collect()``; the assembly is the same one every simulated run uses.
+
+    ``stacks`` maps each correct pid to its plan modules, ``behaviors``
+    each faulty pid to its behavior, and ``restart_nodes`` each
+    ``restart``-fault pid to its :class:`RestartBehavior` (a correct node
+    whose modules are rebuilt on recovery).
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        sim: Simulation,
+        plan: ProtocolPlan,
+        proposals: Dict[ProcessId, Any],
+        registry: MetricsRegistry,
+        decides: DecideLog,
+    ):
+        self.scenario = scenario
+        self.sim = sim
+        self.plan = plan
+        self.proposals = proposals
+        self.registry = registry
+        self.decides = decides
+        self.stacks: Dict[ProcessId, List[Any]] = {}
+        self.behaviors: Dict[ProcessId, Any] = {}
+        self.restart_nodes: Dict[ProcessId, RestartBehavior] = {}
+
+    def start(self) -> None:
+        """Start the simulation and hand every correct node its proposal."""
+        self.sim.start()
+        for pid, modules in self.stacks.items():
+            self.plan.propose(modules, pid, self.proposals[pid])
+        for pid, node in self.restart_nodes.items():
+            node.propose(self.plan, self.proposals[pid])
+
+    # Restart nodes are *correct* — they must decide/halt like any other
+    # correct node, but their module list is rebuilt on recovery, so the
+    # stop predicates read it through the behavior, not a snapshot.
+
+    def decided(self) -> bool:
+        """Every correct node's plan has decided (the ``decided`` stop)."""
+        plan = self.plan
+        return (
+            all(plan.decided(m) for m in self.stacks.values())
+            and all(r.is_decided(plan) for r in self.restart_nodes.values())
+        )
+
+    def halted(self) -> bool:
+        """Every correct node's plan has halted (the ``halted`` stop)."""
+        plan = self.plan
+        return (
+            all(plan.halted(m) for m in self.stacks.values())
+            and all(r.is_halted(plan) for r in self.restart_nodes.values())
+        )
+
+    def collect(self, check: bool = True, violations: Sequence[str] = ()) -> RunResult:
+        """Fold the execution as it stands into one verified result.
+
+        ``violations`` are what the driver already found (an exhausted
+        step budget).  With ``check=True`` the first violation raises.
+        """
+        violations = list(violations)
+        restart_nodes = self.restart_nodes
+        registry = self.registry
+        # A restart node still down when the run ends has no modules to
+        # read: that is a liveness failure (a correct node was expected
+        # back).
+        still_down = sorted(pid for pid, r in restart_nodes.items() if r.down_now)
+        if still_down:
+            message = (
+                f"restart nodes never recovered: {still_down} "
+                "(no traffic arrived after the down window)"
+            )
+            violations.append(message)
+            if check:
+                raise LivenessFailure(message)
+
+        scenario = self.scenario
+        meta: Dict[str, Any] = {
+            "protocol": scenario.protocol,
+            "instances": scenario.instances,
+            "batching": scenario.batching,
+        }
+        if restart_nodes:
+            meta["restarted"] = sorted(restart_nodes)
+            registry.count(
+                "restarts", sum(r.restarts for r in restart_nodes.values())
+            )
+            recovered = [
+                r.recovery_time for r in restart_nodes.values()
+                if r.recovery_time is not None
+            ]
+            if recovered:
+                registry.gauge("recovery_time", max(recovered))
+            registry.count(
+                "recovery_replayed",
+                sum(r.replayed for r in restart_nodes.values()),
+            )
+        modules_by_pid = dict(self.stacks)
+        modules_by_pid.update(
+            (pid, node.modules) for pid, node in restart_nodes.items()
+            if not node.down_now
+        )
+        records = [sim_record(self.sim)] + [
+            node_record(pid, modules, scenario.protocol,
+                        self.decides.times.get(pid))
+            for pid, modules in modules_by_pid.items()
+        ]
+        return collect_result(
+            records, self.proposals, self.behaviors,
+            params=scenario.params, protocol=scenario.protocol,
+            elapsed=self.sim.now, registry=registry, meta=meta,
+            violations=violations, check=check,
+        )
+
+
+def assemble_sim(scenario: Scenario, observer: Optional[Observer] = None) -> SimRun:
+    """Build a ``sim``-fabric scenario's simulation without running it.
+
+    The scenario's scheduler is built over the plan's instance-0 coin
+    scheme, so a coin-observing scheduler (``coin-rush``) watches the
+    coin the processes flip.
+    """
+    if scenario.fabric != "sim":
+        raise ConfigError(
+            f"assemble_sim needs a 'sim' fabric scenario, not {scenario.fabric!r}"
+        )
     params = scenario.params
     plan = ProtocolPlan(
         scenario.protocol, params, scenario.coin_name,
@@ -117,7 +252,9 @@ def _run_sim(
     proposals = plan.default_proposals(scenario.proposals)
     faults = scenario.faults_dict()
 
-    sim = Simulation(seed=scenario.seed, scheduler=scenario.build_scheduler())
+    sim = Simulation(
+        seed=scenario.seed, scheduler=scenario.build_scheduler(plan.coins[0])
+    )
     registry = MetricsRegistry()
     if observer is not None:
         observer.bind_clock(lambda: sim.now)
@@ -125,14 +262,12 @@ def _run_sim(
     sim.profiler = build_profiler(scenario.profile, registry)
     # Decide times are virtual: the step at which a node's plan decided.
     decides = DecideLog(plan, registry, lambda: sim.now, observer)
+    simrun = SimRun(scenario, sim, plan, proposals, registry, decides)
 
     def _on_restart_event(kind: str, pid: ProcessId, detail: Dict[str, Any]) -> None:
         if observer is not None:
             observer.emit(kind, node=pid, detail=dict(detail))
 
-    stacks: Dict[ProcessId, List[Any]] = {}
-    behaviors: Dict[ProcessId, Any] = {}
-    restart_nodes: Dict[ProcessId, RestartBehavior] = {}
     restart_specs = scenario.restart_specs()
     # ``batching="off"`` flushes each effect eagerly (the historical
     # inline-send path); any other mode drains the outbox per delivery
@@ -156,98 +291,39 @@ def _run_sim(
                 on_event=_on_restart_event,
             )
             sim.network.register(node)
-            restart_nodes[pid] = node
+            simrun.restart_nodes[pid] = node
         elif pid in faults:
             behavior = build_plan_behavior(
                 pid, faults[pid], sim.network, params, plan, proposals
             )
             sim.network.register(behavior)
-            behaviors[pid] = behavior
+            simrun.behaviors[pid] = behavior
         else:
             process = Process(pid, sim.network, params, eager=eager)
-            stacks[pid] = plan.build(process)
-            decides.attach(pid, process, stacks[pid])
+            simrun.stacks[pid] = plan.build(process)
+            decides.attach(pid, process, simrun.stacks[pid])
+    return simrun
 
-    sim.start()
-    for pid, modules in stacks.items():
-        plan.propose(modules, pid, proposals[pid])
-    for pid, node in restart_nodes.items():
-        node.propose(plan, proposals[pid])
 
-    # Restart nodes are *correct* — they must decide/halt like any other
-    # correct node, but their module list is rebuilt on recovery, so the
-    # stop predicate reads it through the behavior, not a snapshot.
+def _run_sim(
+    scenario: Scenario, check: bool, observer: Optional[Observer] = None
+) -> RunResult:
+    simrun = assemble_sim(scenario, observer)
+    simrun.start()
     if scenario.stop == "decided":
-        until = lambda: (  # noqa: E731
-            all(plan.decided(m) for m in stacks.values())
-            and all(r.is_decided(plan) for r in restart_nodes.values())
-        )
+        until = simrun.decided
     elif scenario.stop == "halted":
-        until = lambda: (  # noqa: E731
-            all(plan.halted(m) for m in stacks.values())
-            and all(r.is_halted(plan) for r in restart_nodes.values())
-        )
+        until = simrun.halted
     else:  # "quiescent" — drain every message
         until = None
-
-    budget_exhausted = False
+    violations = []
     try:
-        sim.run(until=until, max_steps=scenario.max_steps)
+        simrun.sim.run(until=until, max_steps=scenario.max_steps)
     except EventBudgetExceeded:
         if check:
             raise
-        budget_exhausted = True
-
-    violations = (
-        ["event budget exhausted (possible livelock)"]
-        if budget_exhausted else []
-    )
-    # A restart node still down when the run ends has no modules to read:
-    # that is a liveness failure (a correct node was expected back).
-    still_down = sorted(pid for pid, r in restart_nodes.items() if r.down_now)
-    if still_down:
-        message = (
-            f"restart nodes never recovered: {still_down} "
-            "(no traffic arrived after the down window)"
-        )
-        violations.append(message)
-        if check:
-            raise LivenessFailure(message)
-
-    meta: Dict[str, Any] = {
-        "protocol": scenario.protocol,
-        "instances": scenario.instances,
-        "batching": scenario.batching,
-    }
-    if restart_nodes:
-        meta["restarted"] = sorted(restart_nodes)
-        registry.count(
-            "restarts", sum(r.restarts for r in restart_nodes.values())
-        )
-        recovered = [
-            r.recovery_time for r in restart_nodes.values()
-            if r.recovery_time is not None
-        ]
-        if recovered:
-            registry.gauge("recovery_time", max(recovered))
-        registry.count(
-            "recovery_replayed",
-            sum(r.replayed for r in restart_nodes.values()),
-        )
-    modules_by_pid = dict(stacks)
-    modules_by_pid.update(
-        (pid, node.modules) for pid, node in restart_nodes.items()
-        if not node.down_now
-    )
-    records = [sim_record(sim)] + [
-        node_record(pid, modules, scenario.protocol, decides.times.get(pid))
-        for pid, modules in modules_by_pid.items()
-    ]
-    return collect_result(
-        records, proposals, behaviors,
-        params=params, protocol=scenario.protocol, elapsed=sim.now,
-        registry=registry, meta=meta, violations=violations, check=check,
-    )
+        violations.append("event budget exhausted (possible livelock)")
+    return simrun.collect(check, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -309,4 +385,4 @@ def _run_mp(
     )
 
 
-__all__ = ["repeat", "run"]
+__all__ = ["SimRun", "assemble_sim", "repeat", "run"]

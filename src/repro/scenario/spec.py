@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..adversary import (
+    CoinRushScheduler,
     DelayVictimScheduler,
     PartitionScheduler,
     SplitBrainScheduler,
 )
 from ..analysis.experiments import normalize_proposals
-from ..baselines.harness import DEFAULT_COIN
+from ..core.coin import CoinScheme
 from ..errors import ConfigError
 from ..netem import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
@@ -43,7 +44,7 @@ from ..sim.scheduler import (
     RoundRobinScheduler,
     Scheduler,
 )
-from ..stacks import PROTOCOLS
+from ..stacks import DEFAULT_COIN, PROTOCOLS
 
 FABRICS = ("sim", "local", "tcp", "mp")
 STOPS = ("decided", "halted", "quiescent")
@@ -70,30 +71,39 @@ CanonicalFault = Tuple[Tuple[str, Any], ...]
 # Scheduler registry (the "network conditions" knob)
 # ---------------------------------------------------------------------------
 
-#: name -> factory(n, **args) -> Scheduler | None (None = fair random).
+#: name -> factory(n, coin, **args) -> Scheduler | None (None = fair
+#: random).  ``coin`` is the run's instance-0 coin scheme; only
+#: ``coin-rush`` reads it — it peeks at the dealer coin the moment a
+#: process releases it and holds back the step messages that agree with
+#: it (the coin-observing adversary of the MMR-14 livelock).
 SCHEDULERS: Dict[str, Any] = {
-    "random": lambda n, **args: None,
-    "fifo": lambda n, **args: FifoScheduler(**args),
-    "round-robin": lambda n, **args: RoundRobinScheduler(**args),
-    "delay": lambda n, **args: RandomDelayScheduler(**args),
-    "victim": lambda n, victims=(0,), **args: DelayVictimScheduler(victims, **args),
-    "split": lambda n, group_a=None, **args: SplitBrainScheduler(
+    "random": lambda n, coin, **args: None,
+    "fifo": lambda n, coin, **args: FifoScheduler(**args),
+    "round-robin": lambda n, coin, **args: RoundRobinScheduler(**args),
+    "delay": lambda n, coin, **args: RandomDelayScheduler(**args),
+    "victim": lambda n, coin, victims=(0,), **args: DelayVictimScheduler(
+        victims, **args
+    ),
+    "split": lambda n, coin, group_a=None, **args: SplitBrainScheduler(
         group_a if group_a is not None else range(n // 2), **args
     ),
-    "partition": lambda n, group_a=None, **args: PartitionScheduler(
+    "partition": lambda n, coin, group_a=None, **args: PartitionScheduler(
         group_a if group_a is not None else range(n // 2), **args
     ),
+    "coin-rush": lambda n, coin, **args: CoinRushScheduler(coin, **args),
 }
 
 
 def make_scheduler(
-    name: Optional[str], n: int, **args: Any
+    name: Optional[str], n: int, coin: Optional[CoinScheme] = None,
+    **args: Any,
 ) -> Optional[Scheduler]:
     """Resolve a scheduler name (plus keyword arguments) to an instance.
 
     ``None``/``"random"`` return ``None`` — the simulator's fair default.
-    Unknown names and argument mismatches raise
-    :class:`~repro.errors.ConfigError`.
+    ``coin`` is the run's instance-0 coin scheme, which the
+    coin-observing schedulers watch.  Unknown names and argument
+    mismatches raise :class:`~repro.errors.ConfigError`.
     """
     name = name or "random"
     factory = SCHEDULERS.get(name)
@@ -102,7 +112,7 @@ def make_scheduler(
             f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
         )
     try:
-        return factory(n, **args)
+        return factory(n, coin, **args)
     except TypeError as exc:
         raise ConfigError(f"bad arguments for scheduler {name!r}: {exc}") from exc
 
@@ -268,7 +278,9 @@ class Scenario:
     and hash equally, and ``from_dict(to_dict(s)) == s`` always holds.
 
     Fields:
-        protocol: ``bracha`` | ``benor`` | ``benor-crash`` | ``mmr14`` | ``acs``.
+        protocol: ``bracha`` | ``benor`` | ``benor-crash`` | ``mmr14`` |
+            ``acs``, or one of the Bracha ablations ``bracha-novalidate``
+            / ``bracha-noamplify`` (see :data:`repro.stacks.STACKS`).
         n, t: system size and fault bound (``t=None`` → ``⌊(n−1)/3⌋``).
         proposals: ``None`` (split ``pid % 2``), a bit (unanimous), a
             sequence, or a pid→bit mapping; must be ``None`` for ACS
@@ -277,7 +289,8 @@ class Scenario:
             protocol's default (dealer for MMR-14, local otherwise).
         faults: pid → behavior spec (kind string or ``{"kind": ..., **kw}``).
         scheduler, scheduler_args: network conditions; ``sim`` fabric only
-            (real transports schedule themselves).
+            (real transports schedule themselves).  ``coin-rush`` watches
+            the dealer coin and needs ``coin="dealer"``.
         link: netem link conditions for the runtime fabrics — a flat
             mapping of :class:`~repro.netem.LinkModel` fields (``delay``,
             ``jitter``, ``loss``, ``duplicate``, ``reorder``,
@@ -501,6 +514,11 @@ class Scenario:
                 f"unknown scheduler {self.scheduler!r}; "
                 f"choose from {sorted(SCHEDULERS)}"
             )
+        if self.scheduler == "coin-rush" and self.coin_name != "dealer":
+            raise ConfigError(
+                "scheduler 'coin-rush' observes the released common coin "
+                f"and needs coin='dealer', not {self.coin_name!r}"
+            )
         if self.scheduler == "random" and self.scheduler_args:
             raise ConfigError(
                 "scheduler_args given but the scheduler is 'random' "
@@ -566,9 +584,15 @@ class Scenario:
         """The ``partitions`` spec in its JSON-facing list-of-dicts shape."""
         return [{k: _thaw(v) for k, v in spec} for spec in self.partitions]
 
-    def build_scheduler(self) -> Optional[Scheduler]:
-        """Instantiate the declared network conditions (``sim`` fabric)."""
-        return make_scheduler(self.scheduler, self.n, **self.scheduler_args_dict())
+    def build_scheduler(
+        self, coin: Optional[CoinScheme] = None
+    ) -> Optional[Scheduler]:
+        """Instantiate the declared network conditions (``sim`` fabric);
+        ``coin`` is the run's instance-0 coin scheme (see
+        :data:`SCHEDULERS`)."""
+        return make_scheduler(
+            self.scheduler, self.n, coin, **self.scheduler_args_dict()
+        )
 
     def netem_config(self) -> Optional[NetemConfig]:
         """The declared link conditions as a validated

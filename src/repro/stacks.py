@@ -16,6 +16,11 @@ are sans-I/O engines: their sends are effects drained from the process
 outbox by whichever driver hosts them (see :mod:`repro.sim.effects`),
 so fabric-level concerns — the scenario's ``batching`` field included —
 are applied entirely by the driver, never by protocol code.
+
+The single-instance stack builders live here too (:data:`STACKS`), one
+per protocol name, including the two Bracha ablations the A1/A2
+experiments run: ``bracha-novalidate`` (no justification machinery) and
+``bracha-noamplify`` (no DECIDE amplification, so the run never halts).
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from .adversary.behaviors import ByzantineBehavior, dispatch_behavior
 from .analysis.experiments import FaultSpec, make_coin, normalize_proposals
 from .app.acs import AcsInstance
 from .baselines.benor import BenOrConsensus
-from .baselines.harness import STACKS
+from .baselines.benor_crash import BenOrCrashConsensus
+from .baselines.bv_broadcast import BinaryValueBroadcast
+from .baselines.mmr14 import Mmr14Consensus
 from .core.broadcast import BroadcastLayer
 from .core.coin import CoinScheme, LocalCoin
 from .core.consensus import BrachaConsensus
@@ -37,11 +44,72 @@ from .sim.process import Process, ProtocolModule
 from .sim.rng import derive_seed
 from .types import ProcessId
 
-PROTOCOLS = ("bracha", "benor", "benor-crash", "mmr14", "acs")
-
 #: Builds the per-process protocol stack; returns the decision-bearing
 #: modules (one per instance), or the ACS instance.
 StackBuilder = Callable[[Process], List[Any]]
+
+
+def _bracha_stack(**switches: bool) -> Callable[[Process, CoinScheme], BrachaConsensus]:
+    """Bracha's stack (RBC + coin + consensus), with ablation switches."""
+
+    def build(process: Process, coin_scheme: CoinScheme) -> BrachaConsensus:
+        rbc = BroadcastLayer()
+        process.add_module(rbc)
+        consensus = BrachaConsensus(rbc, coin_scheme.attach(process), **switches)
+        process.add_module(consensus)
+        return consensus
+
+    return build
+
+
+def benor_stack(process: Process, coin_scheme: CoinScheme) -> BenOrConsensus:
+    """Install the Ben-Or stack: bare links + coin, no broadcast layer."""
+    consensus = BenOrConsensus(coin_scheme.attach(process))
+    process.add_module(consensus)
+    return consensus
+
+
+def benor_crash_stack(process: Process, coin_scheme: CoinScheme) -> BenOrCrashConsensus:
+    """Install the crash-fault Ben-Or stack (t < n/2, benign faults)."""
+    consensus = BenOrCrashConsensus(coin_scheme.attach(process))
+    process.add_module(consensus)
+    return consensus
+
+
+def mmr14_stack(process: Process, coin_scheme: CoinScheme) -> Mmr14Consensus:
+    """Install the MMR-14 stack: BV-broadcast + common coin + agreement."""
+    bv = BinaryValueBroadcast()
+    process.add_module(bv)
+    consensus = Mmr14Consensus(bv, coin_scheme.attach(process))
+    process.add_module(consensus)
+    return consensus
+
+
+#: protocol name -> single-instance stack builder ``(process, coin)``.
+#: ``bracha-novalidate`` replaces the justification machinery with a
+#: permissive validator (A1: one Byzantine process then breaks strong
+#: validity); ``bracha-noamplify`` drops the DECIDE amplification (A2:
+#: the run decides but never quiesces).
+STACKS = {
+    "bracha": _bracha_stack(),
+    "benor": benor_stack,
+    "benor-crash": benor_crash_stack,
+    "mmr14": mmr14_stack,
+    "bracha-novalidate": _bracha_stack(validate=False),
+    "bracha-noamplify": _bracha_stack(amplify_decides=False),
+}
+
+PROTOCOLS = (*STACKS, "acs")
+
+#: Default coin per protocol: Bracha and Ben-Or are defined for local
+#: coins; MMR-14's termination argument requires a common coin.  Any
+#: protocol not listed defaults to the local coin.
+DEFAULT_COIN = {
+    "bracha": "local",
+    "benor": "local",
+    "benor-crash": "local",
+    "mmr14": "dealer",
+}
 
 
 def instance_coin_seed(seed: int, index: int) -> int:
@@ -114,16 +182,12 @@ class ProtocolPlan:
         self.params = params
         self.instances = instances
         n, t = params.n, params.t
-        if protocol == "acs":
-            # One coin scheme per ABA index, shared by every node —
-            # the same assembly on every fabric.
-            self._acs_coins = [
-                instance_coin(coin, n, t, seed, j) for j in range(n)
-            ]
-        else:
-            self._coins = [
-                instance_coin(coin, n, t, seed, i) for i in range(instances)
-            ]
+        # One coin scheme per instance (per ABA index for ACS), shared by
+        # every node — the same assembly on every fabric.
+        self.coins = [
+            instance_coin(coin, n, t, seed, i)
+            for i in range(n if protocol == "acs" else instances)
+        ]
 
     # -- builders ------------------------------------------------------------
 
@@ -133,20 +197,18 @@ class ProtocolPlan:
             rbc = BroadcastLayer()
             process.add_module(rbc)
             acs = AcsInstance(
-                process, rbc, coin_factory=lambda j: self._acs_coins[j]
+                process, rbc, coin_factory=lambda j: self.coins[j]
             )
             return [acs]
         if self.instances == 1:
-            # Single instance: the simulator harness's own stack builder,
-            # so every fabric assembles byte-for-byte the same stack.
-            return [STACKS[self.protocol](process, self._coins[0])]
+            return [STACKS[self.protocol](process, self.coins[0])]
         if self.protocol == "bracha":
             rbc = BroadcastLayer()
             process.add_module(rbc)
             modules = []
             for i in range(self.instances):
                 consensus = BrachaConsensus(
-                    rbc, self._coins[i].attach(process), module_id=f"bracha-{i}"
+                    rbc, self.coins[i].attach(process), module_id=f"bracha-{i}"
                 )
                 process.add_module(consensus)
                 modules.append(consensus)
@@ -155,7 +217,7 @@ class ProtocolPlan:
         modules = []
         for i in range(self.instances):
             consensus = BenOrConsensus(
-                self._coins[i].attach(process), module_id=f"benor-{i}"
+                self.coins[i].attach(process), module_id=f"benor-{i}"
             )
             process.add_module(consensus)
             modules.append(consensus)
@@ -238,9 +300,11 @@ def build_plan_behavior(
 
 
 __all__ = [
+    "DEFAULT_COIN",
     "PROTOCOLS",
     "PlanProposer",
     "ProtocolPlan",
+    "STACKS",
     "StackBuilder",
     "build_plan_behavior",
     "coin_seeds",

@@ -13,6 +13,8 @@ actual subprocesses over authenticated TCP on localhost:
 * the ``mp`` spec round-trips through JSON like any other fabric.
 """
 
+import time
+
 import pytest
 
 from repro.errors import ConfigError
@@ -87,6 +89,19 @@ class TestMpFaults:
         assert sorted(result.decisions) == [0, 1, 2]
         assert result.meta["killed"] == [3]
         assert not result.violations
+
+    def test_kill_at_the_go_barrier_never_stalls_boot(self):
+        """A peer SIGKILLed at ``after: 0.0`` refuses the survivors' dials;
+        a controlled node dials once and lets the send path reconnect,
+        so no run waits out the standalone 15 s connect retry."""
+        for seed in range(4):
+            started = time.monotonic()
+            result = run(Scenario(
+                protocol="bracha", n=4, proposals=1, fabric="mp", seed=seed,
+                faults={3: {"kind": "kill", "after": 0.0}},
+            ))
+            assert time.monotonic() - started < 7.5
+            assert sorted(result.decisions) == [0, 1, 2]
 
     def test_loss_retransmission_crosses_process_boundaries(self):
         result = run(Scenario(

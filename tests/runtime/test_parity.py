@@ -12,13 +12,13 @@ over real transports.  These tests hold it to that:
 * **Property parity** — for split proposals the *value* may legitimately
   depend on the interleaving, but agreement, validity, and integrity
   must hold in both worlds, checked by the same
-  :func:`~repro.analysis.experiments.verify_outcome` code path.
+  :func:`~repro.analysis.experiments.collect_result` code path.
 """
 
 import pytest
 
-from repro.analysis.experiments import run_consensus
 from repro.runtime import run_cluster_sync
+from repro.scenario import Scenario, run
 
 SEEDS = [0, 1, 2]
 
@@ -27,38 +27,29 @@ SEEDS = [0, 1, 2]
 @pytest.mark.parametrize("bit", [0, 1])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unanimous_decisions_match_the_simulator(protocol, bit, seed):
-    sim = run_consensus(4, proposals=bit, seed=seed, stack=None if protocol == "bracha" else _stack(protocol))
-    run = run_cluster_sync(
+    sim = run(Scenario(protocol=protocol, n=4, proposals=bit, seed=seed))
+    runtime = run_cluster_sync(
         4, protocol=protocol, proposals=bit, seed=seed,
         transport="local", timeout=30.0,
     )
-    assert sim.decided_values == run.decided_values == {bit}
-    assert len(run.decisions) == 4, "every node decides"
-
-
-def _stack(protocol):
-    from repro.baselines.harness import STACKS
-
-    return STACKS[protocol]
+    assert sim.decided_values == runtime.decided_values == {bit}
+    assert len(runtime.decisions) == 4, "every node decides"
 
 
 @pytest.mark.parametrize("protocol", ["bracha", "benor"])
 def test_split_proposals_agree_in_both_worlds(protocol):
     seed = 5
-    sim = run_consensus(
-        4, proposals=[0, 1, 0, 1], seed=seed,
-        stack=None if protocol == "bracha" else _stack(protocol),
-    )
-    # run() applies verify_outcome internally: agreement + validity +
-    # integrity + liveness, same checker as the simulator harness.
-    run = run_cluster_sync(
+    sim = run(Scenario(protocol=protocol, n=4, proposals=[0, 1, 0, 1], seed=seed))
+    # Both worlds fold their outcomes through collect_result: agreement +
+    # validity + integrity + liveness, the same checker.
+    runtime = run_cluster_sync(
         4, protocol=protocol, proposals=[0, 1, 0, 1], seed=seed,
         transport="local", timeout=30.0,
     )
     assert len(sim.decided_values) == 1
-    assert len(run.decided_values) == 1
-    assert run.decided_values <= {0, 1}
-    assert not run.violations
+    assert len(runtime.decided_values) == 1
+    assert runtime.decided_values <= {0, 1}
+    assert not runtime.violations
 
 
 def test_local_coin_bits_are_identical_across_worlds():
@@ -91,12 +82,12 @@ def test_local_coin_bits_are_identical_across_worlds():
 
 
 def test_runtime_with_silent_fault_matches_fault_free_validity():
-    run = run_cluster_sync(
+    result = run_cluster_sync(
         4, t=1, proposals=1, seed=7, faults={3: "silent"},
         transport="local", timeout=30.0,
     )
-    assert run.decided_values == {1}
-    assert sorted(run.decisions) == [0, 1, 2]
+    assert result.decided_values == {1}
+    assert sorted(result.decisions) == [0, 1, 2]
 
 
 def test_codec_checked_local_transport_matches_plain():

@@ -66,6 +66,7 @@ class TestExecution:
 
     @pytest.mark.parametrize("name", [
         "split-brain-scheduler", "victim-delay-liveness", "fuzzer-storm",
+        "coin-rush",
     ])
     def test_adversarial_entries_decide(self, name):
         result = run(get_scenario(name))
@@ -95,6 +96,14 @@ class TestImportAnywhere:
         proc = self._python(tmp_path, "-m", "repro", "--version")
         assert proc.returncode == 0, proc.stderr
         assert repro.__version__ in proc.stdout
+
+    def test_catalog_table_outside_the_checkout(self, tmp_path):
+        """The table reads entries' fields, so partition-heal's jsonl
+        path (needing ``benchmarks/out/``) does not stop it."""
+        proc = self._python(tmp_path, "-m", "repro", "catalog")
+        assert proc.returncode == 0, proc.stderr
+        assert "partition-heal" in proc.stdout
+        assert "coin-rush" in proc.stdout
 
     def test_entry_needing_the_checkout_fails_on_lookup(self, tmp_path,
                                                         monkeypatch):

@@ -99,30 +99,17 @@ class TestExecution:
         cell = grid.run().cell(n=4)
         assert cell.failures == 2 and cell.results == ()
 
+    def test_ablation_protocols_as_an_axis(self):
+        """The ablations are protocol names, so a grid sweeps them like
+        any other field (no stack callables in the spec)."""
+        grid = ScenarioGrid(Scenario(proposals=1), trials=1, seed=2)
+        grid.add("protocol", ["bracha", "bracha-novalidate", "bracha-noamplify"])
+        result = grid.run()
+        assert all(c.results[0].decided_values == {1} for c in result.cells)
+
     def test_seed_stability_under_new_dimensions(self):
         narrow = ScenarioGrid(Scenario(), trials=2, seed=9).add("n", [4]).run()
         wide = ScenarioGrid(Scenario(), trials=2, seed=9).add("n", [4, 7]).run()
         assert (narrow.cell(n=4).metric("steps").mean
                 == wide.cell(n=4).metric("steps").mean)
 
-
-class TestSweepCompatibility:
-    """The legacy Sweep surface must route through the scenario grid."""
-
-    def test_data_only_sweep_matches_scenario_grid(self):
-        from repro.analysis.sweeps import Sweep
-
-        legacy = Sweep(trials=2, seed=11).add("n", [4]).run()
-        modern = ScenarioGrid(Scenario(), trials=2, seed=11).add("n", [4]).run()
-        assert (legacy.cell(n=4).metric("steps").mean
-                == modern.cell(n=4).metric("steps").mean)
-
-    def test_callable_configs_fall_back_to_legacy_engine(self):
-        from repro.analysis.experiments import ablation_stack
-        from repro.analysis.sweeps import Sweep
-
-        sweep = Sweep(trials=1, seed=2, base={"stack": ablation_stack()})
-        sweep.add("n", [4])
-        grid = sweep.run()
-        assert len(grid.cells) == 1
-        assert grid.cell(n=4).results[0].all_decided

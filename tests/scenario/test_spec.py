@@ -227,6 +227,23 @@ class TestSchedulers:
         with pytest.raises(ConfigError):
             make_scheduler("fifo", 4, bogus_arg=1)
 
+    def test_coin_rush_needs_the_dealer_coin(self):
+        with pytest.raises(ConfigError, match="coin='dealer'"):
+            Scenario(scheduler="coin-rush")
+        with pytest.raises(ConfigError, match="coin='dealer'"):
+            Scenario(scheduler="coin-rush", coin="shares")
+        # MMR-14's default coin is the dealer coin.
+        assert Scenario(protocol="mmr14", scheduler="coin-rush").coin_name == "dealer"
+
+    def test_coin_rush_watches_the_runs_coin(self):
+        from repro.adversary import CoinRushScheduler
+        from repro.scenario import assemble_sim
+
+        simrun = assemble_sim(Scenario(coin="dealer", scheduler="coin-rush"))
+        scheduler = simrun.sim.scheduler
+        assert isinstance(scheduler, CoinRushScheduler)
+        assert scheduler.coin is simrun.plan.coins[0]
+
     def test_scenario_builds_its_scheduler(self):
         s = Scenario(scheduler="victim", scheduler_args={"victims": [2]})
         sched = s.build_scheduler()

@@ -1,14 +1,13 @@
-"""The experiment harness itself: spec normalization and checking."""
+"""The experiment harness itself: spec normalization, assembly, checking."""
 
 import pytest
 
 from repro.analysis.experiments import (
-    ablation_stack,
     collect_result,
     make_coin,
     normalize_proposals,
-    setup_consensus,
 )
+from repro.scenario import Scenario, assemble_sim, run
 from repro.core.coin import DealerCoin, LocalCoin, ShareCoinProvider
 from repro.errors import (
     AgreementViolation,
@@ -65,47 +64,65 @@ class TestMakeCoin:
 
 
 class TestSetup:
+    """The sim fabric's one assembly, :func:`assemble_sim`."""
+
     def test_correct_and_faulty_partition(self):
-        run = setup_consensus(n=4, faults={3: "silent"}, seed=0)
-        assert run.correct_pids == [0, 1, 2]
-        assert sorted(run.behaviors) == [3]
+        simrun = assemble_sim(Scenario(n=4, faults={3: "silent"}))
+        assert sorted(simrun.stacks) == [0, 1, 2]
+        assert sorted(simrun.behaviors) == [3]
 
     def test_fault_pid_out_of_range(self):
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={9: "silent"}, seed=0)
+            Scenario(n=4, faults={9: "silent"})
 
     def test_excess_faults_rejected_by_default(self):
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={2: "silent", 3: "silent"}, seed=0)
+            Scenario(n=4, faults={2: "silent", 3: "silent"})
 
     def test_excess_faults_opt_in(self):
-        run = setup_consensus(
-            n=4, faults={2: "silent", 3: "silent"}, seed=0,
-            allow_excess_faults=True,
-        )
-        assert len(run.behaviors) == 2
+        simrun = assemble_sim(Scenario(
+            n=4, faults={2: "silent", 3: "silent"}, allow_excess_faults=True,
+        ))
+        assert len(simrun.behaviors) == 2
 
     def test_bad_fault_spec(self):
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={3: {"no_kind": True}}, seed=0)
+            Scenario(n=4, faults={3: {"no_kind": True}})
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={3: "gremlin"}, seed=0)
+            assemble_sim(Scenario(n=4, faults={3: "gremlin"}))
 
     def test_ablation_stack_flags(self):
-        run = setup_consensus(n=4, stack=ablation_stack(validate=False), seed=0)
+        simrun = assemble_sim(Scenario(protocol="bracha-novalidate", n=4))
         from repro.core.validation import PermissiveValidator
 
         assert all(
             isinstance(c.validator, PermissiveValidator)
-            for c in run.consensus.values()
+            for (c,) in simrun.stacks.values()
         )
+
+    def test_runtime_fabric_rejected(self):
+        with pytest.raises(ConfigError, match="sim"):
+            assemble_sim(Scenario(n=4, fabric="local"))
+
+    def test_stepwise_drive_matches_run(self):
+        """start + sim.run(until=decided) + collect is exactly run()."""
+        scenario = Scenario(n=4, faults={3: "two_faced"}, seed=5)
+        simrun = assemble_sim(scenario)
+        simrun.start()
+        simrun.sim.run(until=simrun.decided, max_steps=scenario.max_steps)
+        stepwise = simrun.collect()
+        whole = run(scenario)
+        assert (stepwise.steps, stepwise.messages_sent, stepwise.decisions,
+                stepwise.rounds, stepwise.virtual_time) == (
+            whole.steps, whole.messages_sent, whole.decisions,
+            whole.rounds, whole.virtual_time)
 
 
 class TestVerifyResult:
     """collect_result's checks, fed hand-made outcome records."""
 
     def _run(self, proposals=(0, 1, 0, 1)):
-        return setup_consensus(n=4, proposals=list(proposals), seed=0)
+        return assemble_sim(Scenario(n=4, proposals=list(proposals)))
 
     def _verify(self, run, decisions, check=True):
         records = [
@@ -116,7 +133,7 @@ class TestVerifyResult:
                 "acs": None, "invariant_flags": [[]], "halted": False,
                 "rounds": 1, "coin_flips": 0,
             }
-            for pid in run.correct_pids
+            for pid in sorted(run.stacks)
         ]
         return collect_result(records, run.proposals, run.behaviors,
                               check=check)

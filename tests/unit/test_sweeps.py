@@ -1,37 +1,41 @@
-"""The sweep API: grids, aggregation, lookups, failure tolerance."""
+"""The sweep API (ScenarioGrid): grids, aggregation, lookups, failure tolerance."""
 
 import pytest
 
-from repro.analysis.sweeps import METRICS, Sweep, quick_sweep
 from repro.errors import ConfigError
+from repro.scenario import METRICS, Scenario, ScenarioGrid
+
+
+def sweep(**kwargs):
+    return ScenarioGrid(Scenario(**kwargs.pop("base", {})), **kwargs)
 
 
 class TestConstruction:
     def test_requires_dimensions(self):
         with pytest.raises(ConfigError):
-            Sweep(trials=1).run()
+            sweep(trials=1).run()
 
     def test_requires_trials(self):
         with pytest.raises(ConfigError):
-            Sweep(trials=0)
+            sweep(trials=0)
 
     def test_duplicate_dimension_rejected(self):
-        sweep = Sweep(trials=1).add("n", [4])
+        grid = sweep(trials=1).add("n", [4])
         with pytest.raises(ConfigError):
-            sweep.add("n", [7])
+            grid.add("n", [7])
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(ConfigError):
-            Sweep(trials=1).add("n", [])
+            sweep(trials=1).add("n", [])
 
 
 class TestExecution:
     @pytest.fixture(scope="class")
     def grid(self):
-        sweep = Sweep(trials=3, seed=5)
-        sweep.add("n", [4, 7])
-        sweep.add("coin", ["local", "dealer"])
-        return sweep.run()
+        grid = sweep(trials=3, seed=5)
+        grid.add("n", [4, 7])
+        grid.add("coin", ["local", "dealer"])
+        return grid.run()
 
     def test_full_grid(self, grid):
         assert len(grid.cells) == 4
@@ -66,8 +70,8 @@ class TestExecution:
 
     def test_seed_stability_under_new_dimensions(self):
         """Adding a dimension must not change existing cells' runs."""
-        narrow = Sweep(trials=2, seed=9).add("n", [4]).run()
-        wide = Sweep(trials=2, seed=9).add("n", [4, 7]).run()
+        narrow = sweep(trials=2, seed=9).add("n", [4]).run()
+        wide = sweep(trials=2, seed=9).add("n", [4, 7]).run()
         a = narrow.cell(n=4).metric("steps").mean
         b = wide.cell(n=4).metric("steps").mean
         assert a == b
@@ -76,31 +80,34 @@ class TestExecution:
 class TestFailureTolerance:
     def test_failures_counted_not_raised(self):
         # An impossible budget forces failures; tolerate and count them.
-        sweep = Sweep(trials=2, seed=1, tolerate_failures=True, max_steps=5)
-        sweep.add("n", [4])
-        grid = sweep.run()
-        cell = grid.cell(n=4)
+        grid = sweep(base={"max_steps": 5}, trials=2, seed=1, tolerate_failures=True)
+        grid.add("n", [4])
+        cell = grid.run().cell(n=4)
         assert cell.failures == 2
         assert cell.results == ()
 
     def test_failures_raise_by_default(self):
         from repro.errors import EventBudgetExceeded
 
-        sweep = Sweep(trials=1, seed=1, max_steps=5).add("n", [4])
+        grid = sweep(base={"max_steps": 5}, trials=1, seed=1).add("n", [4])
         with pytest.raises(EventBudgetExceeded):
-            sweep.run()
+            grid.run()
 
     def test_table_with_empty_cell(self):
-        sweep = Sweep(trials=1, seed=1, tolerate_failures=True, max_steps=5)
-        sweep.add("n", [4])
-        text = sweep.run().table()
-        assert "-" in text
+        grid = sweep(base={"max_steps": 5}, trials=1, seed=1, tolerate_failures=True)
+        grid.add("n", [4])
+        result = grid.run()
+        assert result.cell(n=4).results == ()
+        assert "-" in result.table()
+        with pytest.raises(ConfigError):
+            result.best()
 
 
 class TestQuickSweep:
     def test_one_call(self):
-        grid = quick_sweep(ns=(4,), coins=("local",), trials=2, seed=3)
+        grid = sweep(trials=2, seed=3).add("n", [4]).add("coin", ["local"]).run()
         assert len(grid.cells) == 1
+        assert len(grid.cells[0].results) == 2
 
     def test_metrics_registry_complete(self):
         for name in ("rounds", "messages", "steps", "coin_flips"):
