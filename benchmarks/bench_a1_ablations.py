@@ -100,7 +100,10 @@ def test_a2_halting_ablation(benchmark, table_sink):
         def rounds():
             return max(c.stats["rounds"] for (c,) in simrun.stacks.values())
 
-        at_decision = sim.metrics.sent
+        def sent():
+            return sim.traffic()["counters"]["messages_sent"]
+
+        at_decision = sent()
         rounds_at_decision = rounds()
         try:
             sim.run(max_steps=extra_budget)  # drain or keep spinning
@@ -108,7 +111,7 @@ def test_a2_halting_ablation(benchmark, table_sink):
             pass
         rounds_after = rounds()
         return (
-            sim.metrics.sent - at_decision,
+            sent() - at_decision,
             rounds_after - rounds_at_decision,
             sim.quiescent,
         )

@@ -54,7 +54,8 @@ def main() -> None:
         max_steps=10_000_000,
     )
 
-    print(f"\ncommitted {epochs} epochs with {sim.metrics.sent} messages "
+    sent = sim.traffic()["counters"]["messages_sent"]
+    print(f"\ncommitted {epochs} epochs with {sent} messages "
           f"in {sim.steps} delivery steps\n")
 
     reference = logs[0].committed_commands()

@@ -49,10 +49,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.coin import LocalCoin
 from ..params import ProtocolParams
-from ..sim.metrics import Metrics
 from ..sim.process import Process
 from ..sim.rng import SplitRng
-from ..sim.trace import NullTrace
 from ..types import Bit
 
 
@@ -61,8 +59,6 @@ class _ScriptNet:
 
     def __init__(self, seed: int):
         self.rng = SplitRng(seed)
-        self.metrics = Metrics()
-        self.trace = NullTrace()
         self.sent: List[Tuple[int, int, object]] = []
 
     def register(self, process: object) -> None:  # never used here

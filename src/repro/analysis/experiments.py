@@ -190,19 +190,6 @@ def node_record(
     return record
 
 
-def sim_record(sim: Simulation) -> Dict[str, Any]:
-    """The simulator network's traffic as one record without a node:
-    the simulator counts traffic once, for every process together."""
-    return {
-        "counters": {
-            "messages_sent": sim.metrics.sent,
-            "messages_delivered": sim.metrics.delivered,
-            "steps": sim.steps,
-        },
-        "sent_by_kind": dict(sim.metrics.sent_by_kind),
-    }
-
-
 def collect_result(
     records: Sequence[Mapping[str, Any]],
     proposals: Mapping[ProcessId, Any],
@@ -498,7 +485,7 @@ def run_broadcast(
     report: Dict[str, Any] = {
         "outcomes": outcomes,
         "accepted_values": accepted_values,
-        "messages": sim.metrics.sent,
+        "messages": sim.traffic()["counters"]["messages_sent"],
         "steps": sim.steps,
         "violations": [],
     }

@@ -305,8 +305,6 @@ def _register_builtin_types() -> None:
     from ..core.consensus import DecideMsg
     from ..crypto.dealer import SignedShare
     from ..crypto.shamir import Share
-    from ..net.links import FifoPacket
-    from ..net.secure import SealedPacket
     from ..netem.frames import LinkAck, LinkFrame
     from ..types import Phase, Step, StepValue
 
@@ -323,8 +321,6 @@ def _register_builtin_types() -> None:
         BvValue,
         AuxMsg,
         MmrDecide,
-        FifoPacket,
-        SealedPacket,
         LinkFrame,
         LinkAck,
     ):

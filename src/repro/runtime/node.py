@@ -43,10 +43,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..errors import ReproError
 from ..params import ProtocolParams
 from ..sim.effects import CausalStamper, parse_batching
-from ..sim.metrics import Metrics
+from ..sim.network import count_send, kind_names
 from ..sim.process import Process
 from ..sim.rng import SplitRng
-from ..sim.trace import NullTrace
 from ..types import ProcessId
 from .codec import Stamped, WireBatch
 from .transport import Transport, TransportClosed
@@ -66,8 +65,9 @@ class NodeNetwork:
         self.pid = pid
         self.params = params
         self.rng = SplitRng(seed)
-        self.metrics = Metrics()
-        self.trace = NullTrace()
+        #: This node's traffic counter, keyed like the simulator's
+        #: (:func:`~repro.sim.network.count_send`).
+        self.sent: Dict[Any, int] = {}
         self.processes: dict[ProcessId, Any] = {}
         self.outbox: Deque[Tuple[ProcessId, Any]] = deque()
         #: Optional structured-event hub (:class:`repro.obs.Observer`),
@@ -96,7 +96,7 @@ class NodeNetwork:
         # ``source`` is advisory here exactly as in the simulator: the
         # transport attributes traffic to the node's own pid, so a stack
         # (or a Byzantine behavior) cannot forge another identity.
-        self.metrics.record_send(self.pid, payload)
+        count_send(self.sent, payload)
         if self.observer is None:
             self.outbox.append((dest, payload))
         else:
@@ -109,7 +109,6 @@ class NodeNetwork:
         return time.monotonic() - self._clock_zero
 
     def trace_note(self, pid: Optional[ProcessId], detail: Any) -> None:
-        self.trace.note(self.now(), pid, detail)
         if self.observer is not None:
             self.observer.emit("note", node=pid, detail=detail)
 
@@ -182,15 +181,16 @@ class Node:
 
     def traffic(self) -> Dict[str, Any]:
         """This node's traffic, in the shape outcome records carry it."""
+        sent = self.network.sent
         return {
             "counters": {
-                "messages_sent": self.network.metrics.sent,
+                "messages_sent": sum(sent.values()),
                 "messages_delivered": self.messages_delivered,
                 "steps": self.activations,
                 "frames_sent": self.frames_sent,
                 "wire_messages_sent": self.wire_messages_sent,
             },
-            "sent_by_kind": dict(self.network.metrics.sent_by_kind),
+            "sent_by_kind": kind_names(sent),
         }
 
     # -- the run loop ---------------------------------------------------------

@@ -33,12 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, EventBudgetExceeded, LivenessFailure
-from ..analysis.experiments import (
-    DecideLog,
-    collect_result,
-    node_record,
-    sim_record,
-)
+from ..analysis.experiments import DecideLog, collect_result, node_record
 from ..obs import MetricsRegistry, Observer, build_observer, build_profiler
 from ..recovery.restart import RestartBehavior
 from ..sim.process import Process
@@ -220,7 +215,7 @@ class SimRun:
             (pid, node.modules) for pid, node in restart_nodes.items()
             if not node.down_now
         )
-        records = [sim_record(self.sim)] + [
+        records = [self.sim.traffic()] + [
             node_record(pid, modules, scenario.protocol,
                         self.decides.times.get(pid))
             for pid, modules in modules_by_pid.items()

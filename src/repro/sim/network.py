@@ -19,9 +19,36 @@ from ..errors import SimulationError
 from ..types import Envelope, ProcessId
 from .effects import CausalStamper
 from .events import PendingSet
-from .metrics import Metrics
 from .rng import SplitRng
-from .trace import Trace
+
+
+def count_send(sent: Dict[Any, int], payload: Any) -> None:
+    """Count one send in a traffic counter keyed by payload type.
+
+    Payloads are routed tuples ``(module_id, inner)``, keyed by the
+    module and the inner message's class; anything else is keyed by its
+    own class.  Nothing is rendered here: :func:`kind_names` turns the
+    keys into names only when an outcome record is built.
+    """
+    if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[0], str):
+        key: Any = (payload[0], type(payload[1]))
+    else:
+        key = type(payload)
+    sent[key] = sent.get(key, 0) + 1
+
+
+def kind_names(sent: Dict[Any, int]) -> Dict[str, int]:
+    """A traffic counter by ``"module/Class"`` (or bare ``"Class"``) name,
+    in first-send order, so per-primitive counts (VALUE vs ECHO vs READY
+    vs step messages) fall out of one counter."""
+    names: Dict[str, int] = {}
+    for key, count in sent.items():
+        name = (
+            f"{key[0]}/{key[1].__name__}" if isinstance(key, tuple)
+            else key.__name__
+        )
+        names[name] = names.get(name, 0) + count
+    return names
 
 
 class Deliverable(Protocol):
@@ -57,20 +84,18 @@ class NetworkAPI(Protocol):
 class Network:
     """Registry of processes plus the in-flight message set.
 
-    ``outbound_filter`` is a test/attack hook: a callable receiving each
-    envelope before it enters the pending set; returning ``False`` drops
-    the message (allowed only for traffic touching faulty processes —
-    the model forbids dropping correct-to-correct traffic, and the
-    default filter enforces nothing so the *harness* checks this).
+    ``sent`` is the run's one traffic counter (see :func:`count_send`).
+    Counting happens here, so protocols cannot forget to report, and
+    Byzantine traffic is counted like any other traffic — the paper's
+    complexity statements are about total system load.  Deliveries are
+    not counted: the simulator delivers exactly one envelope per step.
     """
 
-    def __init__(self, rng: SplitRng, pending: PendingSet, metrics: Metrics, trace: Trace):
+    def __init__(self, rng: SplitRng, pending: PendingSet):
         self.rng = rng
         self.pending = pending
-        self.metrics = metrics
-        self.trace = trace
         self.processes: Dict[ProcessId, Deliverable] = {}
-        self.outbound_filter: Optional[Callable[[Envelope], bool]] = None
+        self.sent: Dict[Any, int] = {}
         #: Optional structured-event hub (:class:`repro.obs.Observer`).
         #: One ``is not None`` check per send/deliver when disabled.
         self.observer: Optional[Any] = None
@@ -96,7 +121,6 @@ class Network:
         return self._now_fn()
 
     def trace_note(self, pid: Optional[ProcessId], detail: Any) -> None:
-        self.trace.note(self.now(), pid, detail)
         if self.observer is not None:
             self.observer.emit("note", node=pid, detail=detail, time=self.now())
 
@@ -131,12 +155,8 @@ class Network:
             payload=payload,
             send_time=self.now(),
         )
-        if self.outbound_filter is not None and not self.outbound_filter(env):
-            self.metrics.record_drop()
-            return
         self.pending.add(env)
-        self.metrics.record_send(source, payload)
-        self.trace.send(env.send_time, env)
+        count_send(self.sent, payload)
         if self.observer is not None:
             mid = self.stamper.stamp(source)
             self._mids[env.uid] = mid
@@ -149,8 +169,6 @@ class Network:
     def deliver(self, env: Envelope, time: float) -> None:
         """Deliver an in-flight envelope to its destination (runner only)."""
         self.pending.remove(env)
-        self.metrics.record_delivery(env.dest, env.payload)
-        self.trace.deliver(time, env)
         if self.observer is not None:
             self.observer.message(
                 "deliver", env.dest, env.payload, time=time,

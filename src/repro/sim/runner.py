@@ -1,10 +1,10 @@
 """The simulation loop.
 
-A :class:`Simulation` owns the pending-message set, the scheduler, the
-network, metrics, and the trace.  Running proceeds one delivery at a
-time: ask the scheduler for the next envelope, deliver it, repeat — until
-a caller-supplied predicate holds, the system is quiescent (no messages
-in flight), or the step budget runs out.
+A :class:`Simulation` owns the pending-message set, the scheduler, and
+the network.  Running proceeds one delivery at a time: ask the scheduler
+for the next envelope, deliver it, repeat — until a caller-supplied
+predicate holds, the system is quiescent (no messages in flight), or the
+step budget runs out.
 
 Each delivery step drains the target process's effect outbox as one
 batch: the callback buffers its sends (see :mod:`repro.sim.effects`)
@@ -22,15 +22,13 @@ admissible in the sense of the asynchronous model.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import EventBudgetExceeded, SimulationError
 from .events import PendingSet
-from .metrics import Metrics
-from .network import Network
+from .network import Network, kind_names
 from .rng import SplitRng
 from .scheduler import RandomScheduler, Scheduler
-from .trace import NullTrace, Trace
 
 
 class Simulation:
@@ -39,7 +37,6 @@ class Simulation:
     Args:
         seed: master seed; fixes every random choice in the run.
         scheduler: delivery scheduler (default :class:`RandomScheduler`).
-        trace: pass ``True`` for a full event trace (default: disabled).
 
     Typical use::
 
@@ -54,18 +51,12 @@ class Simulation:
         self,
         seed: int = 0,
         scheduler: Optional[Scheduler] = None,
-        trace: bool | Trace = False,
     ):
         self.rng = SplitRng(seed)
         self.pending = PendingSet()
         self.scheduler = scheduler if scheduler is not None else RandomScheduler()
         self.scheduler.attach(self.rng.stream("scheduler"), self.pending)
-        if isinstance(trace, Trace):
-            self.trace = trace
-        else:
-            self.trace = Trace() if trace else NullTrace()
-        self.metrics = Metrics()
-        self.network = Network(self.rng, self.pending, self.metrics, self.trace)
+        self.network = Network(self.rng, self.pending)
         self.network.bind_clock(lambda: self.now)
         self.network.bind_send_hook(self.scheduler.on_send)
         self.now: float = 0.0
@@ -117,7 +108,6 @@ class Simulation:
                 )
         self.now = max(self.now, time)
         self.steps += 1
-        self.trace.advance_step()
         profiler = self.profiler
         if profiler is None:
             self.network.deliver(env, self.now)
@@ -158,3 +148,19 @@ class Simulation:
     @property
     def quiescent(self) -> bool:
         return not self.pending
+
+    def traffic(self) -> Dict[str, Any]:
+        """The network's traffic, in the shape outcome records carry it.
+
+        The simulator counts traffic once, for every process together;
+        each step delivers exactly one envelope, so deliveries are steps.
+        """
+        sent = self.network.sent
+        return {
+            "counters": {
+                "messages_sent": sum(sent.values()),
+                "messages_delivered": self.steps,
+                "steps": self.steps,
+            },
+            "sent_by_kind": kind_names(sent),
+        }

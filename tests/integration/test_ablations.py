@@ -57,7 +57,7 @@ class TestHaltingAblation:
 
     def test_no_decide_messages_without_amplification(self):
         simrun = self._decided(5)
-        assert "bracha/DecideMsg" not in simrun.sim.metrics.sent_by_kind
+        assert "bracha/DecideMsg" not in simrun.sim.traffic()["sent_by_kind"]
 
     def test_safety_unaffected_by_either_switch(self):
         for protocol in ("bracha", "bracha-novalidate", "bracha-noamplify"):

@@ -49,12 +49,12 @@ class TestHaltedProcessesStayQuiet:
         sim = simrun.sim
         simrun.start()
         sim.run(until=simrun.halted, max_steps=2_000_000)
-        halted_at = sim.metrics.sent
+        halted_at = sim.traffic()["counters"]["messages_sent"]
         sim.run_to_quiescence(max_steps=2_000_000)
         # Deliveries to halted consensus modules must not generate new
         # consensus traffic (RBC echoes for stragglers are allowed).
         decide_like = [
-            kind for kind in sim.metrics.sent_by_kind if "DecideMsg" in kind
+            kind for kind in sim.traffic()["sent_by_kind"] if "DecideMsg" in kind
         ]
         assert decide_like == ["bracha/DecideMsg"]
 

@@ -10,6 +10,7 @@ enabled.
 
 import pytest
 
+from repro.obs import Observer, RingSink, render_events
 from repro.params import for_system
 from repro.scenario import Scenario, run
 from repro.sim.process import Process
@@ -60,10 +61,14 @@ class TestSimTraceIdentical:
     @pytest.mark.parametrize("protocol", ["bracha", "benor"])
     def test_full_trace_is_bit_identical(self, protocol):
         """Eager vs per-step outbox draining: every send, delivery, and
-        note lands at the same step, same time, same order."""
+        note lands at the same time, in the same order, with the same
+        causal message id."""
 
         def run_traced(eager):
-            sim = Simulation(seed=5, trace=True)
+            sim = Simulation(seed=5)
+            sink = RingSink()
+            sim.network.observer = Observer(sink)
+            sim.network.observer.bind_clock(lambda: sim.now)
             params = for_system(4, None)
             plan = ProtocolPlan(protocol, params, "local", 5, 1)
             stacks = {}
@@ -77,7 +82,9 @@ class TestSimTraceIdentical:
                 plan.decided(m) for m in stacks.values()
             ))
             decisions = {pid: m[0].decision for pid, m in stacks.items()}
-            return sim.trace.render(), decisions
+            assert sink.dropped == 0
+            assert {e.kind for e in sink.events} == {"send", "deliver", "note"}
+            return render_events(sink.events), decisions
 
         trace_eager, decisions_eager = run_traced(eager=True)
         trace_step, decisions_step = run_traced(eager=False)

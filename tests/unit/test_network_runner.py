@@ -50,17 +50,42 @@ class TestNetwork:
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
         sim.run_to_quiescence()
-        assert sim.metrics.sent == 2  # ping + pong
-        assert sim.metrics.delivered == 2
+        counters = sim.traffic()["counters"]
+        assert counters["messages_sent"] == 2  # ping + pong
+        assert counters["messages_delivered"] == 2
 
-    def test_outbound_filter_can_drop(self):
-        sim, modules = two_process_sim()
-        sim.network.outbound_filter = lambda env: env.payload[1] != "pong"
+    def test_traffic_names_sends_by_kind(self):
+        """Routed payloads count as ``module/Class``, bare ones as
+        ``Class``, in first-send order; every step is one delivery."""
+        from repro.core.broadcast import RbcMessage
+        from repro.types import Phase
+
+        class Sink:
+            def __init__(self, pid):
+                self.pid = pid
+
+            def deliver(self, sender, payload):
+                pass
+
+            def start(self):
+                pass
+
+        sim = Simulation()
+        for pid in range(2):
+            sim.network.register(Sink(pid))
         sim.start()
-        sim.network.send(0, 1, ("echo", "ping"))
+        sim.network.send(0, 1, ("rbc", RbcMessage(("i",), 0, Phase.ECHO, 1)))
+        sim.network.send(1, 0, "bare")
+        sim.network.send(1, 0, ("rbc", 42))
+        sim.network.send(0, 1, ("rbc", 43))
         sim.run_to_quiescence()
-        assert sim.metrics.dropped == 1
-        assert modules[0].got == []  # the pong never came back
+        traffic = sim.traffic()
+        assert list(traffic["sent_by_kind"].items()) == [
+            ("rbc/RbcMessage", 1), ("str", 1), ("rbc/int", 2),
+        ]
+        assert traffic["counters"] == {
+            "messages_sent": 4, "messages_delivered": 4, "steps": sim.steps,
+        }
 
     def test_replace_swaps_implementation(self):
         sim, _ = two_process_sim()

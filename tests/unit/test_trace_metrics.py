@@ -1,110 +1,74 @@
-"""Trace recording and message accounting."""
+"""Message accounting: the network's per-kind send counter."""
 
-from repro.sim.metrics import Metrics, payload_kind
-from repro.sim.trace import NullTrace, Trace
-from repro.types import Envelope
+from repro.sim.network import count_send, kind_names
+from repro.sim.runner import Simulation
 
 
-def env(uid=1, source=0, dest=1, payload=("mod", "x")):
-    return Envelope(uid=uid, source=source, dest=dest, payload=payload, send_time=0.0)
+def kind_of(payload):
+    """The one kind name a single send of ``payload`` is counted under."""
+    sent = {}
+    count_send(sent, payload)
+    [name] = kind_names(sent)
+    return name
+
+
+class Sink:
+    def __init__(self, pid):
+        self.pid = pid
+
+    def deliver(self, sender, payload):
+        pass
+
+    def start(self):
+        pass
+
+
+def sink_sim(n=3):
+    sim = Simulation()
+    for pid in range(n):
+        sim.network.register(Sink(pid))
+    sim.start()
+    return sim
 
 
 class TestPayloadKind:
     def test_routed_tuple(self):
-        assert payload_kind(("rbc", 42)) == "rbc/int"
+        assert kind_of(("rbc", 42)) == "rbc/int"
 
     def test_bare_payload(self):
-        assert payload_kind("text") == "str"
+        assert kind_of("text") == "str"
 
     def test_dataclass_name_used(self):
         from repro.core.broadcast import RbcMessage
         from repro.types import Phase
 
         msg = RbcMessage(("i",), 0, Phase.ECHO, 1)
-        assert payload_kind(("rbc", msg)) == "rbc/RbcMessage"
+        assert kind_of(("rbc", msg)) == "rbc/RbcMessage"
 
 
 class TestMetrics:
     def test_send_and_delivery_counts(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("m", "a"))
-        metrics.record_send(1, ("m", "b"))
-        metrics.record_delivery(2, ("m", "a"))
-        assert metrics.sent == 2
-        assert metrics.delivered == 1
-        assert metrics.sent_by_source[0] == 1
+        sim = sink_sim()
+        sim.network.send(0, 1, ("m", "a"))
+        sim.network.send(1, 2, ("m", "b"))
+        assert sim.step()
+        counters = sim.traffic()["counters"]
+        assert counters["messages_sent"] == 2
+        assert counters["messages_delivered"] == 1
 
     def test_kind_breakdown(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("rbc", 1))
-        metrics.record_send(0, ("rbc", 2))
-        metrics.record_send(0, ("consensus", "s"))
-        assert metrics.sent_by_kind["rbc/int"] == 2
-        assert metrics.sent_by_kind["consensus/str"] == 1
+        sim = sink_sim()
+        sim.network.send(0, 1, ("rbc", 1))
+        sim.network.send(0, 2, ("rbc", 2))
+        sim.network.send(0, 1, ("consensus", "s"))
+        by_kind = sim.traffic()["sent_by_kind"]
+        assert by_kind["rbc/int"] == 2
+        assert by_kind["consensus/str"] == 1
 
     def test_snapshot_is_plain_data(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("m", "a"))
-        snap = metrics.snapshot()
-        assert snap["sent"] == 1
-        assert isinstance(snap["sent_by_kind"], dict)
-
-    def test_reset(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("m", "a"))
-        metrics.record_drop()
-        metrics.reset()
-        assert metrics.sent == 0 and metrics.dropped == 0
-        assert not metrics.sent_by_kind
-
-
-class TestTrace:
-    def test_records_send_and_delivery(self):
-        trace = Trace()
-        trace.send(1.0, env())
-        trace.deliver(2.0, env(uid=2))
-        kinds = [r.kind for r in trace.records]
-        assert kinds == ["send", "deliver"]
-
-    def test_notes(self):
-        trace = Trace()
-        trace.note(0.0, 3, "decided 1")
-        assert trace.notes()[0].detail == "decided 1"
-
-    def test_filter_by_process(self):
-        trace = Trace()
-        trace.send(0.0, env(source=0))
-        trace.send(0.0, env(uid=2, source=1))
-        assert len(trace.filter(kind="send", process=1)) == 1
-
-    def test_render_contains_route(self):
-        trace = Trace()
-        trace.send(0.0, env())
-        assert "p 1" in trace.render() or "p1" in trace.render().replace(" ", "")
-
-    def test_render_limit(self):
-        trace = Trace()
-        for i in range(10):
-            trace.note(0.0, 0, f"n{i}")
-        assert "n9" in trace.render(limit=2)
-        assert "n0" not in trace.render(limit=2)
-
-    def test_size_cap(self):
-        trace = Trace(max_records=3)
-        for i in range(10):
-            trace.note(0.0, 0, i)
-        assert len(trace) == 3
-
-    def test_step_counter(self):
-        trace = Trace()
-        trace.note(0.0, 0, "a")
-        trace.advance_step()
-        trace.note(0.0, 0, "b")
-        assert trace.records[0].step == 0
-        assert trace.records[1].step == 1
-
-    def test_null_trace_records_nothing(self):
-        trace = NullTrace()
-        trace.send(0.0, env())
-        trace.note(0.0, 0, "x")
-        assert len(trace) == 0
+        sim = sink_sim()
+        sim.network.send(0, 1, ("m", "a"))
+        traffic = sim.traffic()
+        assert traffic["counters"]["messages_sent"] == 1
+        assert type(traffic["sent_by_kind"]) is dict
+        assert all(type(k) is str for k in traffic["sent_by_kind"])
