@@ -79,10 +79,10 @@ class RandomScheduler(Scheduler):
     """
 
     def choose(self) -> Optional[Tuple[Envelope, float]]:
-        items = list(self.pending)
-        if not items:
+        pending = self.pending
+        if not pending:
             return None
-        env = items[self.rng.randrange(len(items))]
+        env = pending.kth(self.rng.randrange(len(pending)))
         return env, self._advance()
 
 

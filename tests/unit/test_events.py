@@ -1,5 +1,7 @@
 """PendingSet: the in-flight message structure schedulers query."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -93,3 +95,61 @@ class TestQueries:
         snap = pending.snapshot()
         pending.remove(pending.peek_oldest())
         assert [e.uid for e in snap] == [1, 2, 3, 4]
+
+
+class TestKth:
+    """``kth(k)`` is ``list(pending)[k]`` through slot growth and compaction."""
+
+    def test_out_of_range(self):
+        pending = PendingSet()
+        pending.add(env(1))
+        with pytest.raises(IndexError):
+            pending.kth(1)
+        with pytest.raises(IndexError):
+            pending.kth(-1)
+
+    def test_kth_follows_insertion_order(self):
+        pending = PendingSet()
+        for uid in (3, 1, 2):
+            pending.add(env(uid))
+        assert [pending.kth(k).uid for k in range(3)] == [3, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_list_under_random_add_remove(self, seed):
+        """Random churn through the initial capacity, compaction in place,
+        and a doubling: every kth agrees with the list rule at every step."""
+        rng = random.Random(seed)
+        initial = PendingSet.INITIAL_SLOTS
+        pending = PendingSet()
+        live = []
+        next_uid = 0
+        capacities = {initial}
+        for step in range(8 * initial):
+            # Fill past 2x the initial capacity first, then churn with a
+            # removal bias so compaction also runs without growth.
+            grow = step < 2 * initial + 8 or rng.random() < 0.45
+            if grow or not live:
+                next_uid += 1
+                e = env(next_uid)
+                pending.add(e)
+                live.append(e)
+            else:
+                e = live.pop(rng.randrange(len(live)))
+                pending.remove(e)
+            capacities.add(len(pending._slots))
+            assert len(pending) == len(live)
+            assert [pending.kth(k) for k in range(len(live))] == live
+            assert list(pending) == live
+        assert max(capacities) >= 4 * initial
+
+    def test_compaction_reuses_slots_without_growth(self):
+        """Churn at a steady pending count never grows the slot array."""
+        pending = PendingSet()
+        for uid in range(1, 4):
+            pending.add(env(uid))
+        last = 10 * PendingSet.INITIAL_SLOTS
+        for uid in range(4, last + 1):
+            pending.remove(pending.peek_oldest())
+            pending.add(env(uid))
+        assert len(pending._slots) == PendingSet.INITIAL_SLOTS
+        assert [pending.kth(k).uid for k in range(3)] == [last - 2, last - 1, last]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.adversary import PartitionScheduler
 from repro.errors import SimulationError
 from repro.sim.events import PendingSet
 from repro.sim.scheduler import (
@@ -78,6 +79,43 @@ class TestRandomScheduler:
         scheduler, pending = make(RandomScheduler(), seed=1)
         feed(scheduler, pending, [env(i) for i in range(1, 50)])
         assert drain(scheduler, pending) != list(range(1, 50))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_choice_matches_list_rule(self, seed):
+        """Same randrange, same pick: the order-statistic choice equals the
+        reference ``list(pending)[rng.randrange(len)]`` rule, with sends
+        interleaved so the slot array compacts mid-drain."""
+        scheduler, pending = make(RandomScheduler(), seed=seed)
+        reference = random.Random(seed)
+        sends = random.Random(seed + 100)
+        uids = iter(range(1, 10_000))
+        feed(scheduler, pending, [env(next(uids)) for _ in range(5)])
+        order, expected = [], []
+        for _ in range(8 * PendingSet.INITIAL_SLOTS):
+            if sends.random() < 0.5:
+                feed(scheduler, pending,
+                     [env(next(uids)) for _ in range(sends.randrange(4))])
+            if not pending:
+                continue
+            items = list(pending)
+            expected.append(items[reference.randrange(len(items))].uid)
+            chosen, _time = scheduler.choose()
+            pending.remove(chosen)
+            order.append(chosen.uid)
+        assert order == expected
+        assert len(order) > PendingSet.INITIAL_SLOTS  # crossed a compaction
+
+    def test_healed_partition_choice_matches_list_rule(self):
+        """PartitionScheduler's post-heal pick is the same uniform rule."""
+        envelopes = [env(i, source=i % 3, dest=(i + 1) % 3)
+                     for i in range(1, 3 * PendingSet.INITIAL_SLOTS)]
+        scheduler, pending = make(PartitionScheduler([0], heal_after=0), seed=4)
+        feed(scheduler, pending, envelopes)
+        reference, items = random.Random(4), list(envelopes)
+        expected = [items.pop(reference.randrange(len(items))).uid
+                    for _ in envelopes]
+        assert drain(scheduler, pending) == expected
+        assert scheduler.heal_step == 0
 
 
 class TestFifoScheduler:
